@@ -16,26 +16,22 @@
 //!
 //! # Resilient execution
 //!
-//! The runner treats each (severity, seed) cell as an isolated unit of
-//! work:
+//! Cells run on the [`grid`] core, which gives each (severity, seed)
+//! cell panic isolation, budgets, retries and journal replay:
 //!
-//! * **Panic isolation** — a cell that panics (or trips the numerical
-//!   firewall) becomes a [`CellFailure`] in [`CampaignReport::failed`];
-//!   every other cell still completes.
-//! * **Retry** — failures classified transient
-//!   ([`SimError::is_transient`]) are retried up to
-//!   [`RunBudget::retries`] times, each attempt under a different
-//!   reserved fault-injector epoch (see
-//!   [`FaultInjector::with_reserved_epochs`]) so the retry sees a fresh
-//!   stream realization, deterministically in the attempt index.
-//! * **Deadlines** — [`RunBudget`] bounds wall clock and freshly
-//!   computed cells; cells past the budget are recorded in
-//!   [`CampaignReport::skipped`], never silently dropped.
-//! * **Checkpoint/resume** — [`FaultCampaign::run_with_checkpoint`]
-//!   journals every completed cell through [`Checkpoint`];
-//!   [`FaultCampaign::resume`] skips journaled cells and, because each
-//!   cell is a pure function of (severity, seed), produces a report
-//!   bit-identical to an uninterrupted run.
+//! * a cell that panics or trips the numerical firewall becomes a
+//!   [`CellFailure`] in [`CampaignReport::failed`] while every other cell
+//!   completes;
+//! * a transient failure is retried up to [`RunBudget::retries`] times,
+//!   each attempt under a different reserved fault-injector epoch (see
+//!   [`FaultInjector::with_reserved_epochs`]), so a retry sees a fresh
+//!   stream realization, deterministically in the attempt index;
+//! * cells past the [`RunBudget`] deadline or quota land in
+//!   [`CampaignReport::skipped`], never silently dropped;
+//! * [`FaultCampaign::run_with_checkpoint`] journals every completed
+//!   cell through [`Checkpoint`], and [`FaultCampaign::resume`] replays
+//!   them; each cell being a pure function of (severity, seed), the
+//!   report is bit-identical to an uninterrupted run.
 //!
 //! [`ChaosSpec`] provides deterministic fail-point injection (panics and
 //! NaN poisoning at chosen cells) so all of the above is testable.
@@ -44,14 +40,13 @@ use crate::checkpoint::Checkpoint;
 use crate::config::AcceleratorConfig;
 use crate::error::{FailureKind, SimError};
 use crate::functional::OpticalExecutor;
+use crate::grid::{self, Outcome};
+pub use crate::grid::{RunBudget, SkipReason};
 use refocus_nn::tensor::{Tensor3, Tensor4};
 use refocus_photonics::faults::{FaultInjector, FaultSpec};
 use refocus_photonics::jtc::Jtc;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// The synthetic convolution layer a campaign stresses.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -161,15 +156,6 @@ pub struct CellFailure {
     pub attempts: u32,
 }
 
-/// Why a cell was skipped without being attempted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SkipReason {
-    /// The [`RunBudget::max_wall_clock`] deadline had passed.
-    Deadline,
-    /// The [`RunBudget::max_cells`] quota was already consumed.
-    CellLimit,
-}
-
 /// A cell the budget did not allow to run in this invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SkippedCell {
@@ -179,69 +165,6 @@ pub struct SkippedCell {
     pub seed: u64,
     /// Which budget bound stopped it.
     pub reason: SkipReason,
-}
-
-/// Cooperative resource bounds for one campaign (or DSE) invocation.
-///
-/// Bounds are checked *between* cells — a cell that has started always
-/// runs to completion (or failure), so budget enforcement never tears a
-/// measurement. Which cells land beyond a bound depends on scheduling,
-/// but cell *values* never do; a later [`FaultCampaign::resume`]
-/// completes the remainder bit-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunBudget {
-    /// Wall-clock deadline for the whole invocation. Cells not started
-    /// before it passes are recorded as skipped.
-    pub max_wall_clock: Option<Duration>,
-    /// Maximum number of *freshly computed* cells this invocation may
-    /// run (journaled cells replayed from a checkpoint are free). Lets a
-    /// caller run "N more cells" incrementally against one journal.
-    pub max_cells: Option<usize>,
-    /// How many times a transient failure ([`SimError::is_transient`])
-    /// is retried, each attempt under a different reserved epoch, before
-    /// the cell is recorded as failed.
-    pub retries: u32,
-}
-
-impl Default for RunBudget {
-    /// Unlimited time and cells, one retry per transient failure.
-    fn default() -> Self {
-        RunBudget {
-            max_wall_clock: None,
-            max_cells: None,
-            retries: 1,
-        }
-    }
-}
-
-impl RunBudget {
-    /// No deadline, no cell quota, no retries: every failure is final
-    /// on its first occurrence.
-    pub fn strict() -> Self {
-        RunBudget {
-            max_wall_clock: None,
-            max_cells: None,
-            retries: 0,
-        }
-    }
-
-    /// Replaces the wall-clock deadline.
-    pub fn with_wall_clock(mut self, limit: Duration) -> Self {
-        self.max_wall_clock = Some(limit);
-        self
-    }
-
-    /// Replaces the fresh-cell quota.
-    pub fn with_max_cells(mut self, cells: usize) -> Self {
-        self.max_cells = Some(cells);
-        self
-    }
-
-    /// Replaces the transient-failure retry count.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
 }
 
 /// What a chaos fail-point does to its cell.
@@ -389,14 +312,6 @@ pub struct FaultCampaign {
     seeds: Vec<u64>,
     workload: Workload,
     chaos: ChaosSpec,
-}
-
-/// Per-cell outcome inside the fan-out (successes carry the journal key
-/// so appends can happen once, after the parallel region).
-enum CellOutcome {
-    Done(CampaignCell),
-    Failed(CellFailure),
-    Skipped(SkippedCell),
 }
 
 impl FaultCampaign {
@@ -572,104 +487,45 @@ impl FaultCampaign {
             .iter()
             .flat_map(|&severity| self.seeds.iter().map(move |&seed| (severity, seed)))
             .collect();
-
-        let deadline = budget.max_wall_clock.map(|limit| Instant::now() + limit);
-        let fresh_cells = AtomicUsize::new(0);
-        // Workers replay journaled cells and append new ones; the lock
-        // is held only around lookups/appends, never across a cell's
-        // computation, and no code panics while holding it.
-        let journal = journal.map(Mutex::new);
-
-        let outcomes: Vec<CellOutcome> =
-            refocus_par::par_map_indexed(&grid, |item, &(severity, seed)| {
-                let _cell = refocus_obs::span_with("campaign.cell", || {
-                    format!("severity={severity} seed={seed}")
+        let outcomes = grid::run(
+            "campaign.cell",
+            &grid,
+            |&(severity, seed)| cell_key(severity, seed),
+            |_, &(severity, seed), attempt| {
+                if attempt > 0 {
+                    refocus_obs::counter("campaign.retries", 1);
+                }
+                let _attempt = refocus_obs::span_with("campaign.cell.attempt", || {
+                    format!("severity={severity} seed={seed} attempt={attempt}")
                 });
-                let key = cell_key(severity, seed);
-                if let Some(journal) = &journal {
-                    let guard = journal.lock().expect("journal lock never poisoned");
-                    if let Some(cell) = guard.get(&key) {
-                        refocus_obs::counter("campaign.cells.replayed", 1);
-                        return CellOutcome::Done(*cell);
-                    }
-                }
-                if let Some(deadline) = deadline {
-                    if Instant::now() >= deadline {
-                        refocus_obs::counter("campaign.cells.skipped", 1);
-                        return CellOutcome::Skipped(SkippedCell {
-                            severity,
-                            seed,
-                            reason: SkipReason::Deadline,
-                        });
-                    }
-                }
-                if let Some(max) = budget.max_cells {
-                    if fresh_cells.fetch_add(1, Ordering::Relaxed) >= max {
-                        refocus_obs::counter("campaign.cells.skipped", 1);
-                        return CellOutcome::Skipped(SkippedCell {
-                            severity,
-                            seed,
-                            reason: SkipReason::CellLimit,
-                        });
-                    }
-                }
-
-                let mut attempt = 0u32;
-                loop {
-                    if attempt > 0 {
-                        refocus_obs::counter("campaign.retries", 1);
-                    }
-                    let _attempt = refocus_obs::span_with("campaign.cell.attempt", || {
-                        format!("severity={severity} seed={seed} attempt={attempt}")
-                    });
-                    let caught = refocus_par::catch_item(|| {
-                        self.run_cell(severity, seed, attempt, &input, &weights, &reference)
-                    });
-                    let result = match caught {
-                        Ok(inner) => inner,
-                        Err(message) => Err(SimError::WorkerPanic { item, message }),
-                    };
-                    match result {
-                        Ok(cell) => {
-                            if let Some(journal) = &journal {
-                                let mut guard =
-                                    journal.lock().expect("journal lock never poisoned");
-                                if let Err(e) = guard.append(&key, cell) {
-                                    return CellOutcome::Failed(CellFailure {
-                                        severity,
-                                        seed,
-                                        kind: FailureKind::Checkpoint,
-                                        error: e.to_string(),
-                                        attempts: attempt + 1,
-                                    });
-                                }
-                            }
-                            return CellOutcome::Done(cell);
-                        }
-                        Err(e) if e.is_transient() && attempt < budget.retries => {
-                            attempt += 1;
-                        }
-                        Err(e) => {
-                            return CellOutcome::Failed(CellFailure {
-                                severity,
-                                seed,
-                                kind: e.kind(),
-                                error: e.to_string(),
-                                attempts: attempt + 1,
-                            });
-                        }
-                    }
-                }
-            });
+                self.run_cell(severity, seed, attempt, &input, &weights, &reference)
+            },
+            budget,
+            journal,
+        );
 
         let mut cells = Vec::new();
         let mut failed = Vec::new();
         let mut skipped = Vec::new();
-        for outcome in outcomes {
+        for (&(severity, seed), outcome) in grid.iter().zip(outcomes) {
             match outcome {
-                CellOutcome::Done(cell) => cells.push(cell),
-                CellOutcome::Failed(failure) => failed.push(failure),
-                CellOutcome::Skipped(skip) => skipped.push(skip),
+                Outcome::Done(cell) => cells.push(cell),
+                Outcome::Failed {
+                    kind,
+                    error,
+                    attempts,
+                } => failed.push(CellFailure {
+                    severity,
+                    seed,
+                    kind,
+                    error,
+                    attempts,
+                }),
+                Outcome::Skipped(reason) => skipped.push(SkippedCell {
+                    severity,
+                    seed,
+                    reason,
+                }),
             }
         }
 
@@ -810,6 +666,7 @@ fn mean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn base_spec() -> FaultSpec {
         FaultSpec::none()

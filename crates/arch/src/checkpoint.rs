@@ -1,4 +1,4 @@
-//! Crash-safe JSON-lines journals for resumable grid runs.
+//! Append-only JSON-lines journals for resumable grid runs.
 //!
 //! A [`Checkpoint<T>`] persists completed work-item results keyed by a
 //! caller-chosen string (the campaign uses `"<severity-bits>:<seed>"`,
@@ -9,12 +9,15 @@
 //! their stored values verbatim.
 //!
 //! Two properties make resumed reports bit-identical to uninterrupted
-//! runs (the PR-3 acceptance criterion):
+//! runs:
 //!
-//! 1. **Atomic persistence.** Every append serializes the whole journal
-//!    to a sibling temp file and `fs::rename`s it over the target, so a
-//!    kill at any instant leaves either the old or the new journal on
-//!    disk — never a torn line.
+//! 1. **Append-only persistence.** Every append writes one record line
+//!    to the end of the file and syncs it with `sync_data`, so the cost
+//!    of a run's journal is linear in its cells. A kill mid-append can
+//!    tear only the final line; [`Checkpoint::load`] drops a final line
+//!    that lacks its newline and does not parse, truncates the file back
+//!    to the last complete line, and counts the drop in
+//!    `checkpoint.torn_lines`. The torn cell is simply recomputed.
 //! 2. **Exact round-trips.** `serde_json` prints `f64` with enough
 //!    digits (Grisu/Ryū shortest representation) that every finite value
 //!    parses back to the identical bit pattern, and the
@@ -50,6 +53,13 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
+fn error(path: &Path, message: String) -> CheckpointError {
+    CheckpointError {
+        path: path.to_path_buf(),
+        message,
+    }
+}
+
 impl From<CheckpointError> for crate::error::SimError {
     fn from(e: CheckpointError) -> Self {
         crate::error::SimError::Checkpoint {
@@ -58,32 +68,13 @@ impl From<CheckpointError> for crate::error::SimError {
     }
 }
 
-// The vendored serde derive does not handle generic types, so the
-// header and record wrappers implement the value-tree traits by hand.
+#[derive(Serialize, Deserialize)]
 struct Header {
     fingerprint: String,
 }
 
-impl Serialize for Header {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![(
-            "fingerprint".to_string(),
-            Value::Str(self.fingerprint.clone()),
-        )])
-    }
-}
-
-impl Deserialize for Header {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let fingerprint = value
-            .get("fingerprint")
-            .ok_or_else(|| serde::Error::custom("missing 'fingerprint' field"))?;
-        Ok(Header {
-            fingerprint: String::from_value(fingerprint)?,
-        })
-    }
-}
-
+// The vendored serde derive does not handle generic types, so the record
+// wrappers implement the value-tree traits by hand.
 /// Borrowing record wrapper used when serializing, so appends don't
 /// clone the journaled value.
 struct RecordRef<'a, T> {
@@ -127,9 +118,9 @@ impl<T: Deserialize> Deserialize for Record<T> {
 #[derive(Debug)]
 pub struct Checkpoint<T> {
     path: PathBuf,
-    fingerprint: String,
-    entries: Vec<(String, T)>,
-    index: HashMap<String, usize>,
+    /// The journal, open in append mode.
+    file: fs::File,
+    entries: HashMap<String, T>,
 }
 
 impl<T: Serialize + Deserialize> Checkpoint<T> {
@@ -141,17 +132,23 @@ impl<T: Serialize + Deserialize> Checkpoint<T> {
     ///
     /// Returns [`CheckpointError`] if the file cannot be written.
     pub fn create(path: &Path, fingerprint: &str) -> Result<Self, CheckpointError> {
-        let ckpt = Checkpoint {
-            path: path.to_path_buf(),
+        let mut ckpt = Self::open(path, HashMap::new())?;
+        ckpt.file
+            .set_len(0)
+            .map_err(|e| error(path, format!("cannot truncate journal: {e}")))?;
+        ckpt.write_line(&Header {
             fingerprint: fingerprint.to_string(),
-            entries: Vec::new(),
-            index: HashMap::new(),
-        };
-        ckpt.persist()?;
+        })?;
         Ok(ckpt)
     }
 
     /// Loads an existing journal, verifying its fingerprint.
+    ///
+    /// A final line with no trailing newline that does not parse is the
+    /// remains of an append cut short by a kill: it is dropped and the
+    /// file truncated back to the last newline, so the next append starts
+    /// on its own line. A journal whose header itself is torn (or empty)
+    /// holds no records and starts over as [`Checkpoint::create`] would.
     ///
     /// # Errors
     ///
@@ -159,18 +156,23 @@ impl<T: Serialize + Deserialize> Checkpoint<T> {
     /// or if its header fingerprint differs from `fingerprint` (the
     /// journal belongs to a different run configuration).
     pub fn load(path: &Path, fingerprint: &str) -> Result<Self, CheckpointError> {
-        let err = |message: String| CheckpointError {
-            path: path.to_path_buf(),
-            message,
-        };
+        let err = |message| error(path, message);
         let _load = refocus_obs::span("checkpoint.load");
         let text =
             fs::read_to_string(path).map_err(|e| err(format!("cannot read checkpoint: {e}")))?;
         refocus_obs::counter("checkpoint.bytes_read", text.len() as u64);
-        let mut lines = text.lines();
-        let header_line = lines.next().ok_or_else(|| err("empty journal".into()))?;
-        let header: Header = serde_json::from_str(header_line)
-            .map_err(|e| err(format!("malformed header line: {e}")))?;
+        let mut lines = text.split_inclusive('\n');
+        let header_line = lines.next().unwrap_or_default();
+        let header: Header = match serde_json::from_str(header_line) {
+            Ok(header) => header,
+            // A kill inside `create` left no complete header, so no record
+            // either: there is nothing to resume or to mismatch.
+            Err(_) if !header_line.ends_with('\n') => {
+                refocus_obs::counter("checkpoint.torn_lines", 1);
+                return Self::create(path, fingerprint);
+            }
+            Err(e) => return Err(err(format!("malformed header line: {e}"))),
+        };
         if header.fingerprint != fingerprint {
             return Err(err(format!(
                 "fingerprint mismatch: journal was written by a different run \
@@ -178,29 +180,44 @@ impl<T: Serialize + Deserialize> Checkpoint<T> {
                 header.fingerprint, fingerprint
             )));
         }
-        let mut entries = Vec::new();
-        let mut index = HashMap::new();
+        let mut entries = HashMap::new();
+        let mut torn_at = None;
         for (n, line) in lines.enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let record: Record<T> = serde_json::from_str(line)
-                .map_err(|e| err(format!("malformed record on line {}: {e}", n + 2)))?;
-            if index.insert(record.key.clone(), entries.len()).is_some() {
+            let record: Record<T> = match serde_json::from_str(line) {
+                Ok(record) => record,
+                // Only the final line can lack its newline.
+                Err(_) if !line.ends_with('\n') => {
+                    torn_at = Some(text.len() - line.len());
+                    break;
+                }
+                Err(e) => return Err(err(format!("malformed record on line {}: {e}", n + 2))),
+            };
+            if entries.insert(record.key.clone(), record.value).is_some() {
                 return Err(err(format!(
                     "duplicate key '{}' on line {}",
                     record.key,
                     n + 2
                 )));
             }
-            entries.push((record.key, record.value));
         }
-        Ok(Checkpoint {
-            path: path.to_path_buf(),
-            fingerprint: header.fingerprint,
-            entries,
-            index,
-        })
+
+        let mut ckpt = Self::open(path, entries)?;
+        if let Some(len) = torn_at {
+            ckpt.file
+                .set_len(len as u64)
+                .and_then(|()| ckpt.file.sync_data())
+                .map_err(|e| err(format!("cannot drop torn final line: {e}")))?;
+            refocus_obs::counter("checkpoint.torn_lines", 1);
+        } else if !text.ends_with('\n') {
+            // A complete final line that lost only its newline.
+            ckpt.file
+                .write_all(b"\n")
+                .map_err(|e| err(format!("cannot end the final line: {e}")))?;
+        }
+        Ok(ckpt)
     }
 
     /// Loads `path` if it exists (verifying the fingerprint), otherwise
@@ -220,12 +237,12 @@ impl<T: Serialize + Deserialize> Checkpoint<T> {
 
     /// Whether `key` has already been journaled.
     pub fn contains(&self, key: &str) -> bool {
-        self.index.contains_key(key)
+        self.entries.contains_key(key)
     }
 
     /// The journaled value for `key`, if present.
     pub fn get(&self, key: &str) -> Option<&T> {
-        self.index.get(key).map(|&i| &self.entries[i].1)
+        self.entries.get(key)
     }
 
     /// Number of journaled records.
@@ -238,7 +255,8 @@ impl<T: Serialize + Deserialize> Checkpoint<T> {
         self.entries.is_empty()
     }
 
-    /// Appends one completed cell and persists the journal atomically.
+    /// Appends one completed cell as one synced line at the end of the
+    /// journal.
     ///
     /// # Errors
     ///
@@ -246,52 +264,40 @@ impl<T: Serialize + Deserialize> Checkpoint<T> {
     /// runner's skip logic failed) or the write fails.
     pub fn append(&mut self, key: &str, value: T) -> Result<(), CheckpointError> {
         if self.contains(key) {
-            return Err(CheckpointError {
-                path: self.path.clone(),
-                message: format!("key '{key}' already journaled"),
-            });
+            return Err(error(&self.path, format!("key '{key}' already journaled")));
         }
-        self.index.insert(key.to_string(), self.entries.len());
-        self.entries.push((key.to_string(), value));
-        self.persist()
+        self.write_line(&RecordRef { key, value: &value })?;
+        self.entries.insert(key.to_string(), value);
+        Ok(())
     }
 
-    /// Serializes the whole journal and atomically replaces the file:
-    /// write to a sibling temp file, flush, then `fs::rename` over the
-    /// target. Rename within one directory is atomic on POSIX, so a
-    /// crash leaves either the previous or the new journal — never a
-    /// half-written one.
-    fn persist(&self) -> Result<(), CheckpointError> {
+    fn open(path: &Path, entries: HashMap<String, T>) -> Result<Self, CheckpointError> {
+        let file = fs::OpenOptions::new()
+            .append(true)
+            .create(true)
+            .open(path)
+            .map_err(|e| error(path, format!("cannot open journal: {e}")))?;
+        Ok(Checkpoint {
+            path: path.to_path_buf(),
+            file,
+            entries,
+        })
+    }
+
+    /// Writes `line` and its newline in one call and syncs the data, so a
+    /// kill can tear at most this final line.
+    fn write_line(&mut self, line: &impl Serialize) -> Result<(), CheckpointError> {
         let _persist =
             refocus_obs::span_with("checkpoint.persist", || format!("records={}", self.len()));
-        let err = |message: String| CheckpointError {
-            path: self.path.clone(),
-            message,
-        };
-        let mut text = serde_json::to_string(&Header {
-            fingerprint: self.fingerprint.clone(),
-        })
-        .map_err(|e| err(format!("cannot serialize header: {e}")))?;
+        let mut text = serde_json::to_string(line)
+            .map_err(|e| error(&self.path, format!("cannot serialize journal line: {e}")))?;
         text.push('\n');
-        for (key, value) in &self.entries {
-            let line = serde_json::to_string(&RecordRef { key, value })
-                .map_err(|e| err(format!("cannot serialize record '{key}': {e}")))?;
-            text.push_str(&line);
-            text.push('\n');
-        }
-        let mut tmp = self.path.clone().into_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
         refocus_obs::counter("checkpoint.bytes_written", text.len() as u64);
         refocus_obs::counter("checkpoint.persists", 1);
-        let mut file =
-            fs::File::create(&tmp).map_err(|e| err(format!("cannot create temp file: {e}")))?;
-        file.write_all(text.as_bytes())
-            .map_err(|e| err(format!("cannot write temp file: {e}")))?;
-        file.sync_all()
-            .map_err(|e| err(format!("cannot sync temp file: {e}")))?;
-        drop(file);
-        fs::rename(&tmp, &self.path).map_err(|e| err(format!("cannot rename temp file: {e}")))
+        self.file
+            .write_all(text.as_bytes())
+            .and_then(|()| self.file.sync_data())
+            .map_err(|e| error(&self.path, format!("cannot append to journal: {e}")))
     }
 }
 
@@ -358,6 +364,60 @@ mod tests {
         let second: Checkpoint<u8> =
             Checkpoint::load_or_create(&path, "f").expect("loads when present");
         assert_eq!(second.get("x"), Some(&7));
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn torn_final_line_is_dropped_and_the_file_truncated() {
+        let path = scratch("torn");
+        let mut ckpt: Checkpoint<u32> = Checkpoint::create(&path, "f").expect("create");
+        ckpt.append("a", 1).expect("append a");
+        drop(ckpt);
+        let intact = fs::read_to_string(&path).expect("read journal");
+        fs::write(&path, format!("{intact}{{\"key\":\"b\",\"va")).expect("tear the tail");
+
+        let mut back: Checkpoint<u32> = Checkpoint::load(&path, "f").expect("torn tail drops");
+        assert_eq!(back.len(), 1);
+        assert_eq!(fs::read_to_string(&path).expect("read journal"), intact);
+        back.append("b", 2).expect("append b");
+        let again: Checkpoint<u32> = Checkpoint::load(&path, "f").expect("reload");
+        assert_eq!((again.get("a"), again.get("b")), (Some(&1), Some(&2)));
+
+        // A bad line that did end in a newline is corruption, not a tear.
+        fs::write(&path, format!("{intact}not json\n")).expect("corrupt a line");
+        let err = Checkpoint::<u32>::load(&path, "f").expect_err("must reject");
+        assert!(err.message.contains("malformed record on line 3"), "{err}");
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn torn_header_starts_a_fresh_journal() {
+        let path = scratch("torn-header");
+        for torn in ["", "{\"fingerpr"] {
+            fs::write(&path, torn).expect("write a torn header");
+            let mut ckpt: Checkpoint<u32> = Checkpoint::load(&path, "f").expect("starts over");
+            assert!(ckpt.is_empty());
+            ckpt.append("a", 1).expect("append a");
+            let back: Checkpoint<u32> = Checkpoint::load(&path, "f").expect("reload");
+            assert_eq!(back.get("a"), Some(&1));
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn complete_final_line_without_newline_is_kept() {
+        let path = scratch("no-newline");
+        let mut ckpt: Checkpoint<u32> = Checkpoint::create(&path, "f").expect("create");
+        ckpt.append("a", 1).expect("append a");
+        drop(ckpt);
+        let text = fs::read_to_string(&path).expect("read journal");
+        fs::write(&path, text.trim_end()).expect("drop the newline");
+
+        let mut back: Checkpoint<u32> = Checkpoint::load(&path, "f").expect("load");
+        assert_eq!(back.get("a"), Some(&1));
+        back.append("b", 2).expect("append b");
+        let again: Checkpoint<u32> = Checkpoint::load(&path, "f").expect("reload");
+        assert_eq!((again.get("a"), again.get("b")), (Some(&1), Some(&2)));
         let _ = fs::remove_file(&path);
     }
 

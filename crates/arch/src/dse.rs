@@ -12,12 +12,12 @@ use crate::area::area_breakdown;
 use crate::checkpoint::Checkpoint;
 use crate::config::{AcceleratorConfig, OpticalBufferKind};
 use crate::error::{FailureKind, SimError};
+use crate::grid::{self, Outcome, RunBudget};
 use crate::metrics::geomean_ratio;
-use crate::simulator::simulate_suite;
+use crate::simulator::simulate;
 use refocus_nn::layer::Network;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::sync::Mutex;
 
 /// The paper's photonic area budget (§5.4.1).
 pub const PHOTONIC_AREA_BUDGET_MM2: f64 = 150.0;
@@ -221,54 +221,27 @@ fn sweep_impl(
     if suite.is_empty() {
         return Err(SimError::EmptySuite);
     }
-    enum Outcome {
-        Done(PerM),
-        Failed(FailedDesignPoint),
-    }
-    let journal = journal.map(Mutex::new);
-    // Design points are independent, so the whole sweep fans out onto
-    // the pool with per-point panic isolation; results come back in
-    // sweep order.
-    let outcomes: Vec<Outcome> = refocus_par::par_map(&TABLE4_DELAY_CYCLES, |&m| {
-        let _point = refocus_obs::span_with("dse.design_point", || format!("M={m}"));
-        let key = m.to_string();
-        if let Some(journal) = &journal {
-            let guard = journal.lock().expect("journal lock never poisoned");
-            if let Some(per_m) = guard.get(&key) {
-                refocus_obs::counter("dse.points.replayed", 1);
-                return Outcome::Done(per_m.clone());
-            }
-        }
-        let result = refocus_par::catch_item(|| run_design_point(variant, suite, budget_mm2, m));
-        match result {
-            Ok(Ok(per_m)) => {
-                if let Some(journal) = &journal {
-                    let mut guard = journal.lock().expect("journal lock never poisoned");
-                    if let Err(e) = guard.append(&key, per_m.clone()) {
-                        return Outcome::Failed(FailedDesignPoint {
-                            delay_cycles: m,
-                            kind: FailureKind::Checkpoint,
-                            error: e.to_string(),
-                        });
-                    }
-                }
-                Outcome::Done(per_m)
-            }
-            Ok(Err(failure)) => Outcome::Failed(failure),
-            Err(message) => Outcome::Failed(FailedDesignPoint {
-                delay_cycles: m,
-                kind: FailureKind::WorkerPanic,
-                error: message,
-            }),
-        }
-    });
-
+    // Design points are pure functions of (variant, suite, budget, M),
+    // so a retry could not change one: the sweep runs strict.
+    let outcomes = grid::run(
+        "dse.design_point",
+        &TABLE4_DELAY_CYCLES,
+        u32::to_string,
+        |_, &m, _| run_design_point(variant, suite, budget_mm2, m),
+        &RunBudget::strict(),
+        journal,
+    );
     let mut per_m = Vec::new();
     let mut failed = Vec::new();
-    for outcome in outcomes {
+    for (&delay_cycles, outcome) in TABLE4_DELAY_CYCLES.iter().zip(outcomes) {
         match outcome {
             Outcome::Done(sample) => per_m.push(sample),
-            Outcome::Failed(failure) => failed.push(failure),
+            Outcome::Failed { kind, error, .. } => failed.push(FailedDesignPoint {
+                delay_cycles,
+                kind,
+                error,
+            }),
+            Outcome::Skipped(_) => unreachable!("a strict budget never skips"),
         }
     }
 
@@ -318,31 +291,15 @@ fn run_design_point(
     suite: &[Network],
     budget_mm2: f64,
     m: u32,
-) -> Result<PerM, FailedDesignPoint> {
+) -> Result<PerM, SimError> {
     let n = max_rfcus(variant, m, budget_mm2);
     let cfg = design_point(variant, m, n);
-    let report = simulate_suite(suite, &cfg).map_err(|e| FailedDesignPoint {
-        delay_cycles: m,
-        kind: e.kind(),
-        error: e.to_string(),
-    })?;
-    if let Some(failure) = report.failed.first() {
-        return Err(FailedDesignPoint {
-            delay_cycles: m,
-            kind: failure.kind,
-            error: format!("network '{}' failed: {}", failure.network, failure.error),
-        });
-    }
-    let fps_w: Vec<f64> = report
-        .reports
+    let metrics = suite
         .iter()
-        .map(|r| r.metrics.fps_per_watt())
-        .collect();
-    let fps_mm2: Vec<f64> = report
-        .reports
-        .iter()
-        .map(|r| r.metrics.fps_per_mm2())
-        .collect();
+        .map(|net| simulate(net, &cfg).map(|report| report.metrics))
+        .collect::<Result<Vec<_>, _>>()?;
+    let fps_w = metrics.iter().map(|r| r.fps_per_watt()).collect();
+    let fps_mm2 = metrics.iter().map(|r| r.fps_per_mm2()).collect();
     Ok((m, n, fps_w, fps_mm2))
 }
 

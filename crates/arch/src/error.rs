@@ -48,8 +48,8 @@ pub enum SimError {
     /// metrics would be undefined.
     EmptySuite,
     /// A worker panicked while computing one cell of a parallel fan-out.
-    /// With panic isolation ([`refocus_par::par_map_catch`]) the panic is
-    /// confined to that cell's slot instead of aborting the whole grid.
+    /// The [`grid`](crate::grid) core confines the panic to that cell's
+    /// outcome instead of aborting the whole grid.
     WorkerPanic {
         /// Index of the work item in its fan-out (grid order).
         item: usize,

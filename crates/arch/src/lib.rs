@@ -22,7 +22,9 @@
 //!   conv path.
 //! * [`guard`] — numerical firewall at stage boundaries (NaN/∞ →
 //!   [`error::SimError::NonFinite`]).
-//! * [`checkpoint`] — crash-safe JSON-lines journals for resumable
+//! * [`grid`] — the one grid-execution core (journal replay, budgets,
+//!   panic isolation, retries) behind the campaign, DSE and suite runners.
+//! * [`checkpoint`] — append-only JSON-lines journals for resumable
 //!   campaign and DSE runs.
 //! * [`attribution`] — per-layer × per-component telemetry ledger
 //!   (joules / cycles / bytes) recorded into `refocus-obs`, plus the
@@ -53,6 +55,7 @@ pub mod dse;
 pub mod energy;
 pub mod error;
 pub mod functional;
+pub mod grid;
 pub mod guard;
 pub mod metrics;
 pub mod perf;

@@ -2,13 +2,14 @@
 //!
 //! [`simulate`] runs one network through the performance, energy, and area
 //! models and returns a [`Report`]; [`simulate_suite`] covers a workload
-//! suite and exposes per-network and geomean metrics — the shape of every
-//! evaluation in the paper's §6.
+//! suite on the [`grid`] core and exposes per-network and geomean
+//! metrics — the shape of every evaluation in the paper's §6.
 
 use crate::area::{area_breakdown, AreaBreakdown};
 use crate::config::{AcceleratorConfig, OpticalBufferKind};
 use crate::energy::{EnergyBreakdown, EnergyModel, EnergyOptions};
 use crate::error::{FailureKind, SimError};
+use crate::grid::{self, Outcome, RunBudget};
 use crate::metrics::{geomean, Metrics};
 use crate::perf::NetworkPerf;
 use refocus_nn::layer::Network;
@@ -274,7 +275,8 @@ impl SuiteReport {
     }
 }
 
-/// Simulates every network in `suite` on `config`.
+/// Simulates every network in `suite` on `config` with default energy
+/// options.
 ///
 /// Per-network failures — typed errors and worker panics alike — land
 /// in [`SuiteReport::failed`] while every other network completes;
@@ -288,27 +290,44 @@ pub fn simulate_suite(
     suite: &[Network],
     config: &AcceleratorConfig,
 ) -> Result<SuiteReport, SimError> {
+    simulate_suite_with_options(suite, config, EnergyOptions::default())
+}
+
+/// [`simulate_suite`] with explicit [`EnergyOptions`].
+///
+/// # Errors
+///
+/// Same conditions as [`simulate_suite`].
+pub fn simulate_suite_with_options(
+    suite: &[Network],
+    config: &AcceleratorConfig,
+    options: EnergyOptions,
+) -> Result<SuiteReport, SimError> {
     if suite.is_empty() {
         return Err(SimError::EmptySuite);
     }
-    // Networks simulate independently; fan out onto the pool with
-    // per-item panic isolation and keep suite order deterministic.
     let _suite = refocus_obs::span_with("simulate_suite", || format!("networks={}", suite.len()));
-    let results = refocus_par::par_map_catch_indexed(suite, |_, net| simulate(net, config));
+    // A network's report is a pure function of its inputs, so a retry
+    // could not change it: the suite runs strict.
+    let outcomes = grid::run(
+        "simulate_suite.network",
+        suite,
+        |net| net.name().to_string(),
+        |_, net, _| simulate_with_options(net, config, options),
+        &RunBudget::strict(),
+        None,
+    );
     let mut reports = Vec::new();
     let mut failed = Vec::new();
-    for ((item, net), result) in suite.iter().enumerate().zip(results) {
-        let outcome = match result {
-            Ok(inner) => inner,
-            Err(message) => Err(SimError::WorkerPanic { item, message }),
-        };
+    for (net, outcome) in suite.iter().zip(outcomes) {
         match outcome {
-            Ok(report) => reports.push(report),
-            Err(e) => failed.push(SuiteFailure {
+            Outcome::Done(report) => reports.push(report),
+            Outcome::Failed { kind, error, .. } => failed.push(SuiteFailure {
                 network: net.name().to_string(),
-                kind: e.kind(),
-                error: e.to_string(),
+                kind,
+                error,
             }),
+            Outcome::Skipped(_) => unreachable!("a strict budget never skips"),
         }
     }
     Ok(SuiteReport {

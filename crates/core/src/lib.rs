@@ -32,7 +32,9 @@ pub use refocus_photonics as photonics;
 use refocus_arch::config::{AcceleratorConfig, OpticalBufferKind};
 use refocus_arch::energy::EnergyOptions;
 use refocus_arch::error::SimError;
-use refocus_arch::simulator::{simulate_with_options, Report, SuiteReport};
+use refocus_arch::simulator::{
+    simulate_suite_with_options, simulate_with_options, Report, SuiteReport,
+};
 use refocus_nn::layer::Network;
 
 /// Builder-style front door to the simulator.
@@ -167,23 +169,14 @@ impl Accelerator {
 
     /// Simulates a workload suite.
     ///
+    /// Per-network failures land in [`SuiteReport::failed`] while every
+    /// other network completes (see [`Accelerator::run`] for the causes).
+    ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptySuite`] for an empty suite, otherwise the
-    /// first per-network error (see [`Accelerator::run`]).
+    /// Returns [`SimError::EmptySuite`] for an empty suite.
     pub fn run_suite(&self, suite: &[Network]) -> Result<SuiteReport, SimError> {
-        if suite.is_empty() {
-            return Err(SimError::EmptySuite);
-        }
-        let reports = suite
-            .iter()
-            .map(|net| self.run(net))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(SuiteReport {
-            config_name: self.config.name.clone(),
-            reports,
-            failed: Vec::new(),
-        })
+        simulate_suite_with_options(suite, &self.config, self.options)
     }
 }
 

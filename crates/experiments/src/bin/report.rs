@@ -7,7 +7,7 @@
 //! cargo run -p refocus-experiments --bin report -- --list
 //! ```
 
-use refocus_experiments::{all_experiments, experiment_by_id};
+use refocus_experiments::{all_experiments, experiment_by_id, REGISTRY};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -40,7 +40,7 @@ fn main() -> ExitCode {
     }
 
     if list {
-        for e in all_experiments() {
+        for e in &REGISTRY {
             println!("{:8}  {}", e.id, e.title);
         }
         return ExitCode::SUCCESS;

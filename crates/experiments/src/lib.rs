@@ -59,34 +59,56 @@ pub mod table7;
 
 pub use render::{Experiment, Table};
 
-/// Every experiment, in paper order.
-pub fn all_experiments() -> Vec<Experiment> {
-    vec![
-        sec2_2::run(),
-        table1::run(),
-        table2::run(),
-        fig3::run(),
-        fig7::run(),
-        table4::run(),
-        table5::run(),
-        table6::run(),
-        table7::run(),
-        fig8::run(),
-        fig9::run(),
-        fig10::run(),
-        fig11::run(),
-        fig12::run(),
-        fig13::run(),
-        sec7_3::run(),
-        ablations::run(),
-        fault_study::run(),
-        summary::run(),
-    ]
+/// One registry entry: an experiment's id and title, and the function
+/// that computes it.
+#[derive(Debug)]
+pub struct Entry {
+    /// Stable identifier (`"table4"`, `"fig11"`, …).
+    pub id: &'static str,
+    /// Human title, as the computed [`Experiment`] carries it.
+    pub title: &'static str,
+    /// Computes the experiment.
+    pub run: fn() -> Experiment,
 }
 
-/// Looks up an experiment by id (e.g. `"fig11"`, `"table4"`).
+/// Every experiment, in paper order. Listing or looking one up runs
+/// nothing; only [`Entry::run`] computes.
+#[rustfmt::skip]
+pub const REGISTRY: [Entry; 19] = [
+    entry("sec2_2", "Sec. 2.2: JTC conversions vs GPU MACs", sec2_2::run),
+    entry("table1", "Table 1: optical delay line geometry", table1::run),
+    entry("table2", "Table 2: WDM lens sharing", table2::run),
+    entry("fig3", "Fig. 3: baseline power and area breakdowns", fig3::run),
+    entry("fig7", "Fig. 7: alternating OS-IS dataflow trace", fig7::run),
+    entry("table4", "Table 4: delay-line design-space exploration", table4::run),
+    entry("table5", "Table 5: feedback-buffer laser power & dynamic range", table5::run),
+    entry("table6", "Table 6: component power and area", table6::run),
+    entry("table7", "Table 7: reuse achieved by each optimization", table7::run),
+    entry("fig8", "Fig. 8: ReFOCUS power breakdowns", fig8::run),
+    entry("fig9", "Fig. 9: ReFOCUS area breakdown", fig9::run),
+    entry("fig10", "Fig. 10: FPS/W vs cumulative optimizations (ResNet-34)", fig10::run),
+    entry("fig11", "Fig. 11: ReFOCUS vs PhotoFourier", fig11::run),
+    entry("fig12", "Fig. 12: vs digital accelerators (ResNet-50)", fig12::run),
+    entry("fig13", "Fig. 13: vs photonic / digital / RRAM accelerators", fig13::run),
+    entry("sec7_3", "Sec. 7.3: DRAM, weight sharing, channel reordering", sec7_3::run),
+    entry("ablations", "Extensions: slow light, batching, WDM walk-off, HBM3", ablations::run),
+    entry("fault_study", "Extension: fault-injection campaign", fault_study::run),
+    entry("summary", "Reproduction scorecard", summary::run),
+];
+
+const fn entry(id: &'static str, title: &'static str, run: fn() -> Experiment) -> Entry {
+    Entry { id, title, run }
+}
+
+/// Computes every experiment, in paper order.
+pub fn all_experiments() -> Vec<Experiment> {
+    REGISTRY.iter().map(|e| (e.run)()).collect()
+}
+
+/// Computes the experiment with id `id` (e.g. `"fig11"`, `"table4"`), and
+/// only that one.
 pub fn experiment_by_id(id: &str) -> Option<Experiment> {
-    all_experiments().into_iter().find(|e| e.id == id)
+    REGISTRY.iter().find(|e| e.id == id).map(|e| (e.run)())
 }
 
 #[cfg(test)]
@@ -109,6 +131,14 @@ mod tests {
         assert!(experiment_by_id("fig11").is_some());
         assert!(experiment_by_id("table4").is_some());
         assert!(experiment_by_id("nope").is_none());
+    }
+
+    #[test]
+    fn registry_ids_and_titles_match_what_each_run_returns() {
+        for entry in &REGISTRY {
+            let e = (entry.run)();
+            assert_eq!((e.id.as_str(), e.title.as_str()), (entry.id, entry.title));
+        }
     }
 
     #[test]

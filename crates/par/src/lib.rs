@@ -9,8 +9,8 @@
 //!
 //! * [`par_map`] / [`par_map_indexed`] — map a function over a slice on a
 //!   scoped work-stealing worker team, returning results in **input order**.
-//! * [`par_for_chunks`] — run a side-effecting closure over disjoint index
-//!   ranges of `0..len`.
+//! * [`catch_item`] — run one closure, turning a panic into an error
+//!   message (the per-item isolation `refocus-arch`'s grid core builds on).
 //!
 //! ## Design
 //!
@@ -54,10 +54,9 @@
 //! would, just possibly earlier.
 //!
 //! When one poisoned item must not kill the whole fan-out — a fault
-//! campaign that should record the bad cell and keep sweeping — use
-//! [`par_map_catch`]: each item runs under its own `catch_unwind`, a
-//! panic becomes an `Err(message)` in that item's slot, and every other
-//! item still completes.
+//! campaign that should record the bad cell and keep sweeping — wrap the
+//! item in [`catch_item`]: a panic becomes an `Err(message)` for that item
+//! only, and every other item still completes.
 //!
 //! # Examples
 //!
@@ -71,7 +70,6 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -200,55 +198,11 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs `f`, converting a panic into `Err(message)` instead of unwinding.
 ///
-/// The building block for per-attempt isolation (e.g. a retry loop that
-/// must survive a panicking attempt); [`par_map_catch`] applies the same
-/// treatment per work item.
+/// The building block for per-item isolation: a retry loop that must
+/// survive a panicking attempt, or a fan-out that records a panicking
+/// item and keeps going.
 pub fn catch_item<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|p| panic_message(p.as_ref()))
-}
-
-/// [`par_map`] with per-item panic isolation: a panicking work item
-/// yields `Err(panic_message)` in its own slot while every other item
-/// still runs to completion. Nothing is re-raised on the caller.
-pub fn par_map_catch<T, R, F>(items: &[T], f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_catch_indexed(items, |_, item| f(item))
-}
-
-/// [`par_map_catch`] where `f` also receives the item's index.
-pub fn par_map_catch_indexed<T, R, F>(items: &[T], f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_indexed(items, |i, item| catch_item(|| f(i, item)))
-}
-
-/// Splits `0..len` into at most `chunks` contiguous ranges of near-equal
-/// size and runs `f` on each range on the worker team. `chunks` is clamped
-/// to `1..=len`; `len == 0` is a no-op.
-///
-/// # Panics
-///
-/// Re-raises the first panic any chunk produced.
-pub fn par_for_chunks<F>(len: usize, chunks: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    if len == 0 {
-        return;
-    }
-    let chunks = chunks.clamp(1, len);
-    let base = len / chunks;
-    let extra = len % chunks;
-    // Chunk c covers base items, plus one of the `extra` leftovers.
-    let start_of = |c: usize| c * base + c.min(extra);
-    run_region(chunks, |c| f(start_of(c)..start_of(c + 1)));
 }
 
 /// Executes tasks `0..n` (each exactly once) on the worker team; serial
@@ -448,74 +402,13 @@ mod tests {
     }
 
     #[test]
-    fn par_for_chunks_covers_range_exactly_once() {
-        for (len, chunks) in [(0usize, 4usize), (1, 4), (10, 3), (16, 4), (7, 16)] {
-            let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-            with_threads(4, || {
-                par_for_chunks(len, chunks, |range| {
-                    for i in range {
-                        hits[i].fetch_add(1, Ordering::Relaxed);
-                    }
-                })
-            });
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), 1, "len={len} index {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_map_catch_isolates_panics_to_their_slot() {
-        let items: Vec<u32> = (0..64).collect();
-        let got = with_threads(4, || {
-            par_map_catch(&items, |&x| {
-                if x % 13 == 5 {
-                    panic!("poisoned item {x}");
-                }
-                x * 2
-            })
-        });
-        for (i, r) in got.iter().enumerate() {
-            if i % 13 == 5 {
-                assert_eq!(*r, Err(format!("poisoned item {i}")));
-            } else {
-                assert_eq!(*r, Ok(i as u32 * 2));
-            }
-        }
-    }
-
-    #[test]
-    fn par_map_catch_handles_string_and_str_payloads() {
-        let items = vec![0u8, 1];
-        let got = par_map_catch(&items, |&x| -> u8 {
-            if x == 0 {
-                panic!("static str");
-            } else {
-                std::panic::panic_any(format!("owned {x}"));
-            }
-        });
-        assert_eq!(got[0], Err("static str".to_string()));
-        assert_eq!(got[1], Err("owned 1".to_string()));
-    }
-
-    #[test]
     fn catch_item_preserves_results_and_messages() {
         assert_eq!(catch_item(|| 7), Ok(7));
         assert_eq!(catch_item(|| -> i32 { panic!("boom") }), Err("boom".into()));
-    }
-
-    #[test]
-    fn par_map_catch_is_thread_count_invariant() {
-        let items: Vec<u64> = (0..50).collect();
-        let f = |&x: &u64| {
-            if x == 17 {
-                panic!("bad {x}");
-            }
-            x + 1
-        };
-        let serial = with_threads(1, || par_map_catch(&items, f));
-        let parallel = with_threads(8, || par_map_catch(&items, f));
-        assert_eq!(serial, parallel);
+        assert_eq!(
+            catch_item(|| -> i32 { std::panic::panic_any(format!("owned {}", 1)) }),
+            Err("owned 1".into())
+        );
     }
 
     #[test]
