@@ -12,8 +12,9 @@
 //! replays any cells already journaled there, so an interrupted (or
 //! budget-limited) invocation can be re-run with the same flags until
 //! the report is complete. `--resume` is the strict variant: the journal
-//! must already exist. Both produce reports bit-identical to a single
-//! uninterrupted run.
+//! must already exist, and it runs the rest of the campaign under the
+//! default budget, so it rejects the budget flags. Both produce reports
+//! bit-identical to a single uninterrupted run.
 //!
 //! `--trace <path>` records the run and writes a Chrome `trace_event`
 //! JSON (open in `chrome://tracing` or <https://ui.perfetto.dev>);
@@ -37,6 +38,8 @@ struct Options {
     checkpoint: Option<PathBuf>,
     resume: Option<PathBuf>,
     budget: RunBudget,
+    /// The first budget flag given, so `--resume` can reject it.
+    budget_flag: Option<&'static str>,
     json: bool,
     trace: Option<PathBuf>,
     obs_json: Option<PathBuf>,
@@ -53,6 +56,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
         checkpoint: None,
         resume: None,
         budget: RunBudget::default(),
+        budget_flag: None,
         json: false,
         trace: None,
         obs_json: None,
@@ -73,18 +77,21 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--trace" => opts.trace = Some(PathBuf::from(value("--trace")?)),
             "--obs-json" => opts.obs_json = Some(PathBuf::from(value("--obs-json")?)),
             "--max-cells" => {
+                opts.budget_flag.get_or_insert("--max-cells");
                 let n = value("--max-cells")?
                     .parse()
                     .map_err(|e| format!("--max-cells: {e}"))?;
                 opts.budget = opts.budget.with_max_cells(n);
             }
             "--retries" => {
+                opts.budget_flag.get_or_insert("--retries");
                 let n = value("--retries")?
                     .parse()
                     .map_err(|e| format!("--retries: {e}"))?;
                 opts.budget = opts.budget.with_retries(n);
             }
             "--wall-clock-secs" => {
+                opts.budget_flag.get_or_insert("--wall-clock-secs");
                 let secs: u64 = value("--wall-clock-secs")?
                     .parse()
                     .map_err(|e| format!("--wall-clock-secs: {e}"))?;
@@ -96,6 +103,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
     }
     if opts.checkpoint.is_some() && opts.resume.is_some() {
         return Err("--checkpoint and --resume are mutually exclusive".into());
+    }
+    if let (Some(_), Some(flag)) = (&opts.resume, opts.budget_flag) {
+        return Err(format!("--resume and {flag} are mutually exclusive"));
     }
     Ok(opts)
 }
@@ -198,5 +208,42 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn resume_rejects_budget_flags() {
+        for (flag, value) in [
+            ("--max-cells", "3"),
+            ("--retries", "2"),
+            ("--wall-clock-secs", "10"),
+        ] {
+            for order in [
+                args(&["--resume", "run.jsonl", flag, value]),
+                args(&[flag, value, "--resume", "run.jsonl"]),
+            ] {
+                let Err(err) = parse(&order) else {
+                    panic!("--resume with {flag} must be rejected");
+                };
+                assert_eq!(err, format!("--resume and {flag} are mutually exclusive"));
+            }
+        }
+    }
+
+    #[test]
+    fn budget_flags_are_accepted_without_resume() {
+        let opts = parse(&args(&["--checkpoint", "run.jsonl", "--max-cells", "3"])).unwrap();
+        assert_eq!(opts.budget, RunBudget::default().with_max_cells(3));
+        let opts = parse(&args(&["--resume", "run.jsonl", "--json"])).unwrap();
+        assert_eq!(opts.resume, Some(PathBuf::from("run.jsonl")));
+        assert_eq!(opts.budget, RunBudget::default());
     }
 }

@@ -46,7 +46,7 @@ pub fn compute() -> Study {
     let shared = SharedWeights::cluster(&weights, 256, 2, 11).expect("clusterable");
     let compression_ratio = shared.compression_ratio(8);
     let mut compressed = with_dram.clone();
-    compressed.weight_compression = 4.5;
+    compressed.weight_compression = compression_ratio;
     let rc = simulate(&net, &compressed).expect("maps");
     let energy_reduction_with_sharing = 1.0 - rc.metrics.energy_j / r.metrics.energy_j;
 
@@ -139,6 +139,27 @@ mod tests {
             (0.2..0.6).contains(&s.energy_reduction_with_sharing),
             "cut = {} (paper up to 0.52)",
             s.energy_reduction_with_sharing
+        );
+    }
+
+    #[test]
+    fn sharing_cut_uses_the_measured_compression() {
+        let s = compute();
+        let net = models::resnet50();
+        let mut with_dram = AcceleratorConfig::refocus_fb();
+        with_dram.include_dram = true;
+        let mut compressed = with_dram.clone();
+        compressed.weight_compression = s.compression_ratio;
+        let plain = simulate(&net, &with_dram).expect("maps");
+        let shared = simulate(&net, &compressed).expect("maps");
+        let cut = 1.0 - shared.metrics.energy_j / plain.metrics.energy_j;
+        assert_eq!(
+            cut.to_bits(),
+            s.energy_reduction_with_sharing.to_bits(),
+            "cut {} != {} from the measured {}x compression",
+            s.energy_reduction_with_sharing,
+            cut,
+            s.compression_ratio
         );
     }
 
