@@ -8,15 +8,22 @@
 //! — with every 1-D pass going through the *field-level* JTC model of
 //! [`refocus_photonics::jtc`], optionally with 8-bit converters and
 //! feedback-buffer attenuation + weight rescaling (§4.1.1).
+//!
+//! Only the output rows a strided layer keeps are computed. When no pass
+//! carries state of its own (no converter, no active fault model), passes
+//! share lens-1 spectra and detector sums the way the hardware reuses
+//! light; see DESIGN.md §3, "Functional path: spectral reuse".
 
 use crate::config::AcceleratorConfig;
 use refocus_nn::conv::ConvError;
 use refocus_nn::quant::PseudoNegativeSplit;
 use refocus_nn::tensor::{Tensor3, Tensor4};
-use refocus_nn::tiling::{tiled_conv2d_with, TilingError, TilingMode};
+use refocus_nn::tiling::{
+    tiled_conv2d_strided_with, RowPass, RowSchedule, TilingError, TilingMode,
+};
 use refocus_photonics::buffer::FeedbackBuffer;
 use refocus_photonics::faults::FaultInjector;
-use refocus_photonics::jtc::Jtc;
+use refocus_photonics::jtc::{DetectorSum, Jtc, JtcError, PlaneGeometry, Spectrum};
 use std::fmt;
 
 /// Errors from functional execution.
@@ -29,6 +36,8 @@ pub enum FunctionalError {
     Shape(ConvError),
     /// The layer cannot tile onto the configured JTC.
     Tiling(TilingError),
+    /// A pass does not fit the configured JTC plane.
+    Jtc(JtcError),
     /// The numerical firewall caught a NaN, infinity, or out-of-bounds
     /// magnitude leaving the optical path (see [`crate::guard`]).
     NonFinite {
@@ -50,6 +59,7 @@ impl fmt::Display for FunctionalError {
             }
             FunctionalError::Shape(e) => write!(f, "shape error: {e}"),
             FunctionalError::Tiling(e) => write!(f, "tiling error: {e}"),
+            FunctionalError::Jtc(e) => write!(f, "JTC error: {e}"),
             FunctionalError::NonFinite { stage, index } => write!(
                 f,
                 "non-finite or out-of-bounds value at index {index} of the \
@@ -64,6 +74,7 @@ impl std::error::Error for FunctionalError {
         match self {
             FunctionalError::Shape(e) => Some(e),
             FunctionalError::Tiling(e) => Some(e),
+            FunctionalError::Jtc(e) => Some(e),
             FunctionalError::NegativeActivation | FunctionalError::NonFinite { .. } => None,
         }
     }
@@ -78,6 +89,12 @@ impl From<ConvError> for FunctionalError {
 impl From<TilingError> for FunctionalError {
     fn from(e: TilingError) -> Self {
         FunctionalError::Tiling(e)
+    }
+}
+
+impl From<JtcError> for FunctionalError {
+    fn from(e: JtcError) -> Self {
+        FunctionalError::Jtc(e)
     }
 }
 
@@ -146,6 +163,12 @@ impl OpticalExecutor {
 
     /// Computes `conv2d(input, weights)` (stride/padding like
     /// [`refocus_nn::conv::conv2d`]) entirely through optical passes.
+    ///
+    /// Only the kept output rows (`oy % stride == 0`) are computed. With
+    /// no DAC, no ADC and no active fault model, passes share lens-1
+    /// spectra and each (output channel, pass, half) detector sums its
+    /// input channels before one lens-2 transform; [`Self::passes`] still
+    /// counts one pass per (o, i, half, tile).
     ///
     /// Output channels execute in parallel on the [`refocus_par`] pool.
     /// Results are bit-identical at every thread count: each channel
@@ -227,26 +250,12 @@ impl OpticalExecutor {
         let split = PseudoNegativeSplit::of(weights);
         let padded = input.pad_spatial(padding);
         let (kh, kw) = (weights.kernel_h(), weights.kernel_w());
-        let full_h =
-            padded
-                .height()
-                .checked_sub(kh)
-                .map(|v| v + 1)
-                .ok_or(FunctionalError::Shape(ConvError::KernelTooLarge {
-                    input: (padded.height(), padded.width()),
-                    kernel: (kh, kw),
-                }))?;
-        let full_w =
-            padded
-                .width()
-                .checked_sub(kw)
-                .map(|v| v + 1)
-                .ok_or(FunctionalError::Shape(ConvError::KernelTooLarge {
-                    input: (padded.height(), padded.width()),
-                    kernel: (kh, kw),
-                }))?;
-        let out_h = (full_h - 1) / stride + 1;
-        let out_w = (full_w - 1) / stride + 1;
+        if kh > padded.height() || kw > padded.width() {
+            return Err(FunctionalError::Shape(ConvError::KernelTooLarge {
+                input: (padded.height(), padded.width()),
+                kernel: (kh, kw),
+            }));
+        }
 
         // Row extraction is identical for every output channel; hoist it
         // out of the fan-out instead of repeating it per (o, i).
@@ -254,8 +263,31 @@ impl OpticalExecutor {
             .map(|i| padded.channel_rows(i).iter().map(|r| r.to_vec()).collect())
             .collect();
 
-        let channels: Vec<usize> = (0..weights.out_channels()).collect();
-        let results: Vec<Result<(Vec<f64>, u64), FunctionalError>> =
+        let schedule = RowSchedule::new(
+            (padded.height(), padded.width()),
+            (kh, kw),
+            tile,
+            mode,
+            stride,
+        )?;
+        // Every pass must fit the plane: a fixed plane size may be too small.
+        let geometries = schedule
+            .passes()
+            .iter()
+            .map(|pass| {
+                let (signal_len, kernel_len) = schedule.operand_lens(pass);
+                jtc.plane_geometry(signal_len, kernel_len)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let (out_h, out_w) = schedule.output_hw();
+
+        // With no converter and no fault state, nothing differs from pass
+        // to pass but the light itself: lens 1 and lens 2 are linear, so
+        // passes may share spectra and detector sums.
+        let results = if !jtc.has_converters() && faults.is_none_or(FaultInjector::is_transparent) {
+            spectral_channels(jtc, &schedule, &geometries, &channel_rows, &split)
+        } else {
+            let channels: Vec<usize> = (0..weights.out_channels()).collect();
             refocus_par::par_map(&channels, |&o| {
                 // One span per output-channel worker: this is the unit the
                 // row-tiling fan-out distributes over pool threads.
@@ -263,22 +295,23 @@ impl OpticalExecutor {
                 let mut worker_faults = faults.map(|f| f.for_work_item(epoch, o as u64));
                 let mut local_passes = 0u64;
                 // Accumulate positive and negative halves over channels.
-                let mut pos = vec![vec![0.0; full_w]; full_h];
-                let mut neg = vec![vec![0.0; full_w]; full_h];
+                let mut pos = vec![vec![0.0; out_w]; out_h];
+                let mut neg = vec![vec![0.0; out_w]; out_h];
                 for (i, rows) in channel_rows.iter().enumerate() {
                     for (half, acc) in [
                         (split.positive.kernel(o, i), &mut pos),
                         (split.negative.kernel(o, i), &mut neg),
                     ] {
-                        let partial = tiled_conv2d_with(rows, &half, tile, mode, |s, k| {
-                            local_passes += 1;
-                            let out = match worker_faults.as_mut() {
-                                Some(fi) => jtc.correlate_with_faults(s, k, fi),
-                                None => jtc.correlate(s, k),
-                            }
-                            .expect("tiling guarantees non-negative, well-sized operands");
-                            out.valid().to_vec()
-                        })?;
+                        let partial =
+                            tiled_conv2d_strided_with(rows, &half, tile, mode, stride, |s, k| {
+                                local_passes += 1;
+                                let out = match worker_faults.as_mut() {
+                                    Some(fi) => jtc.correlate_with_faults(s, k, fi),
+                                    None => jtc.correlate(s, k),
+                                }
+                                .expect("operands are non-negative and fit the checked plane");
+                                out.valid().to_vec()
+                            })?;
                         for (ar, pr) in acc.iter_mut().zip(&partial) {
                             for (a, p) in ar.iter_mut().zip(pr) {
                                 *a += p;
@@ -286,25 +319,9 @@ impl OpticalExecutor {
                         }
                     }
                 }
-                // Digital recombination + stride subsampling.
-                let mut flat = vec![0.0; out_h * out_w];
-                for oy in 0..out_h {
-                    for ox in 0..out_w {
-                        flat[oy * out_w + ox] =
-                            pos[oy * stride][ox * stride] - neg[oy * stride][ox * stride];
-                    }
-                }
-                // JTC→executor firewall: a poisoned optical pass must
-                // surface as a typed error here, not as NaN folded into
-                // downstream accumulations and geomeans.
-                crate::guard::check_finite("jtc-output", &flat).map_err(|v| {
-                    FunctionalError::NonFinite {
-                        stage: v.stage,
-                        index: v.index,
-                    }
-                })?;
-                Ok((flat, local_passes))
-            });
+                Ok((recombine(&pos, &neg)?, local_passes))
+            })
+        };
 
         let mut out = Tensor3::zeros(weights.out_channels(), out_h, out_w);
         let mut total_passes = 0u64;
@@ -413,6 +430,165 @@ impl OpticalExecutor {
     }
 }
 
+/// Bytes of lens-1 spectra one spectral block may hold: the shared signal
+/// spectra plus one worker's detector sums. Bounds the path's memory on
+/// row-partitioned layers, whose passes run into the hundreds.
+const SPECTRAL_BLOCK_BYTES: usize = 128 * 1024;
+
+/// The spectral path of [`OpticalExecutor::conv2d`] for every output
+/// channel: each (input channel, pass) signal spectrum is computed once and
+/// shared by all output-channel workers (the optical buffer, §4.1); each
+/// (o, i, half) kernel spectrum once per block of passes; and each (o,
+/// pass, half) detector sums its input channels before one lens-2
+/// transform (temporal accumulation §4.1.4, WDM §4.2). Passes are still
+/// counted one per (o, i, half, pass).
+fn spectral_channels(
+    jtc: &Jtc,
+    schedule: &RowSchedule,
+    geometries: &[PlaneGeometry],
+    channel_rows: &[Vec<Vec<f64>>],
+    split: &PseudoNegativeSplit,
+) -> Vec<Result<(Vec<f64>, u64), FunctionalError>> {
+    let in_channels = channel_rows.len();
+    let out_channels = split.positive.out_channels();
+    let passes = schedule.passes();
+    let served = (out_channels * in_channels * 2 * passes.len()) as u64;
+    refocus_obs::counter("jtc.spectra_reused", served);
+
+    let (out_h, out_w) = schedule.output_hw();
+    let mut pos = vec![vec![vec![0.0; out_w]; out_h]; out_channels];
+    let mut neg = pos.clone();
+    let channels: Vec<usize> = (0..out_channels).collect();
+    let mut start = 0;
+    while start < passes.len() {
+        // Grow the block while its spectra fit the budget; one pass always
+        // fits.
+        let mut end = start + 1;
+        let mut bins = geometries[start].n() / 2 + 1;
+        while end < passes.len() {
+            bins += geometries[end].n() / 2 + 1;
+            if (in_channels + 1) * bins * 16 > SPECTRAL_BLOCK_BYTES {
+                break;
+            }
+            end += 1;
+        }
+        let block = &passes[start..end];
+        let geoms = &geometries[start..end];
+
+        // Serial: one transform per operand is a small share of the layer,
+        // and a second pool region per block costs more peak memory than it
+        // saves time.
+        let signals: Vec<Spectrum> = {
+            let _s = refocus_obs::span("jtc.spectral.lens1");
+            channel_rows
+                .iter()
+                .flat_map(|rows| {
+                    block
+                        .iter()
+                        .zip(geoms)
+                        .map(move |(pass, &g)| (rows, pass, g))
+                })
+                .map(|(rows, pass, g)| {
+                    jtc.signal_spectrum(g, &schedule.signal(rows, pass))
+                        .expect("activations are non-negative")
+                })
+                .collect()
+        };
+        let valid: Vec<Vec<[Vec<f64>; 2]>> = refocus_par::par_map(&channels, |&o| {
+            let _chan = refocus_obs::span_with("conv2d.channel", || format!("oc={o}"));
+            spectral_block(jtc, schedule, block, geoms, &signals, split, o)
+        });
+
+        for (o, windows) in valid.iter().enumerate() {
+            for (pass, [p, n]) in block.iter().zip(windows) {
+                schedule.scatter(pass, p, &mut pos[o]);
+                schedule.scatter(pass, n, &mut neg[o]);
+            }
+        }
+        start = end;
+    }
+    let local_passes = (in_channels * 2 * passes.len()) as u64;
+    pos.iter()
+        .zip(&neg)
+        .map(|(p, n)| Ok((recombine(p, n)?, local_passes)))
+        .collect()
+}
+
+/// One output channel's share of a spectral block: the valid windows of
+/// its positive and negative detector sums, one per pass of `block`.
+/// `signals` holds the block's signal spectra, input-channel major.
+fn spectral_block(
+    jtc: &Jtc,
+    schedule: &RowSchedule,
+    block: &[RowPass],
+    geoms: &[PlaneGeometry],
+    signals: &[Spectrum],
+    split: &PseudoNegativeSplit,
+    o: usize,
+) -> Vec<[Vec<f64>; 2]> {
+    let mut detectors: Vec<[DetectorSum; 2]> = geoms
+        .iter()
+        .map(|&g| [jtc.detector(g), jtc.detector(g)])
+        .collect();
+    // Kernel spectra depend on the kernel rows and the plane size only,
+    // so passes that agree on both share one.
+    let mut kernel_of = Vec::with_capacity(block.len());
+    let mut kernel_slots: Vec<usize> = Vec::new();
+    for (p, pass) in block.iter().enumerate() {
+        let slot = kernel_slots.iter().position(|&q| {
+            block[q].kernel_rows() == pass.kernel_rows() && geoms[q].n() == geoms[p].n()
+        });
+        kernel_of.push(slot.unwrap_or_else(|| {
+            kernel_slots.push(p);
+            kernel_slots.len() - 1
+        }));
+    }
+    for (i, signals) in signals.chunks(block.len()).enumerate() {
+        let spectra: Vec<[Spectrum; 2]> = {
+            let _s = refocus_obs::span("jtc.spectral.lens1");
+            let halves = [split.positive.kernel(o, i), split.negative.kernel(o, i)];
+            kernel_slots
+                .iter()
+                .map(|&q| {
+                    halves.each_ref().map(|half| {
+                        let kernel = schedule.kernel(half, &block[q]);
+                        jtc.kernel_spectrum(geoms[q], &kernel)
+                            .expect("pseudo-negative halves are non-negative")
+                    })
+                })
+                .collect()
+        };
+        let _s = refocus_obs::span("jtc.spectral.detect");
+        for ((pair, signal), &slot) in detectors.iter_mut().zip(signals).zip(&kernel_of) {
+            for (detector, kernel) in pair.iter_mut().zip(&spectra[slot]) {
+                detector.add(signal, kernel);
+            }
+        }
+    }
+    let _s = refocus_obs::span("jtc.spectral.lens2");
+    detectors
+        .iter()
+        .map(|pair| pair.each_ref().map(DetectorSum::read_valid))
+        .collect()
+}
+
+/// Digital recombination of the pseudo-negative halves into one flat
+/// channel, behind the JTC→executor firewall: a poisoned optical pass must
+/// surface as a typed error here, not as NaN folded into downstream
+/// accumulations and geomeans.
+fn recombine(pos: &[Vec<f64>], neg: &[Vec<f64>]) -> Result<Vec<f64>, FunctionalError> {
+    let flat: Vec<f64> = pos
+        .iter()
+        .zip(neg)
+        .flat_map(|(p, n)| p.iter().zip(n).map(|(a, b)| a - b))
+        .collect();
+    crate::guard::check_finite("jtc-output", &flat).map_err(|v| FunctionalError::NonFinite {
+        stage: v.stage,
+        index: v.index,
+    })?;
+    Ok(flat)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,6 +668,128 @@ mod tests {
             "diff = {}",
             max_diff(&reused, &digital)
         );
+    }
+
+    /// The per-pass reference: every (o, i, half) convolution through the
+    /// public stride-1 tiling with [`Jtc::correlate`] as the 1-D pass, then
+    /// recombined and subsampled at `stride`.
+    fn per_pass_oracle(
+        jtc: &Jtc,
+        tile: usize,
+        input: &Tensor3,
+        weights: &Tensor4,
+        stride: usize,
+        padding: usize,
+    ) -> Tensor3 {
+        let split = PseudoNegativeSplit::of(weights);
+        let padded = input.pad_spatial(padding);
+        let full_h = padded.height() - weights.kernel_h() + 1;
+        let full_w = padded.width() - weights.kernel_w() + 1;
+        let (out_h, out_w) = ((full_h - 1) / stride + 1, (full_w - 1) / stride + 1);
+        let mut out = Tensor3::zeros(weights.out_channels(), out_h, out_w);
+        for o in 0..weights.out_channels() {
+            let mut acc = vec![vec![0.0; full_w]; full_h];
+            for i in 0..input.channels() {
+                let rows: Vec<Vec<f64>> =
+                    padded.channel_rows(i).iter().map(|r| r.to_vec()).collect();
+                for (sign, half) in [(1.0, &split.positive), (-1.0, &split.negative)] {
+                    let partial = refocus_nn::tiling::tiled_conv2d_with(
+                        &rows,
+                        &half.kernel(o, i),
+                        tile,
+                        TilingMode::Exact,
+                        |s, k| jtc.correlate(s, k).unwrap().valid().to_vec(),
+                    )
+                    .unwrap();
+                    for (ar, pr) in acc.iter_mut().zip(&partial) {
+                        for (a, p) in ar.iter_mut().zip(pr) {
+                            *a += sign * p;
+                        }
+                    }
+                }
+            }
+            for oy in 0..out_h {
+                for ox in 0..out_w {
+                    out.set(o, oy, ox, acc[oy * stride][ox * stride]);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn spectral_path_matches_per_pass_oracle() {
+        use refocus_photonics::components::NonlinearMaterial;
+        let saturating = Jtc::ideal().with_nonlinearity(NonlinearMaterial::saturating(2_000));
+        // (what, jtc, tile, C_in, C_out, h, w, k, stride, padding)
+        let cases = [
+            ("short last tile", Jtc::ideal(), 128, 2, 3, 20, 20, 3, 1, 1),
+            ("stride 2", Jtc::ideal(), 256, 3, 2, 16, 16, 3, 2, 1),
+            ("1x1 stride 2", Jtc::ideal(), 256, 4, 3, 14, 14, 1, 2, 0),
+            (
+                "fixed plane",
+                Jtc::ideal().with_plane_size(1536),
+                256,
+                2,
+                2,
+                12,
+                12,
+                3,
+                1,
+                1,
+            ),
+            ("saturating", saturating, 128, 2, 2, 10, 10, 3, 1, 1),
+            ("row-partitioned", Jtc::ideal(), 50, 2, 2, 13, 20, 5, 2, 0),
+        ];
+        for (seed, (what, jtc, tile, c_in, c_out, h, w, k, stride, padding)) in
+            cases.into_iter().enumerate()
+        {
+            let seed = 40 + 2 * seed as u64;
+            let input = Tensor3::random(c_in, h, w, 0.0, 1.0, seed);
+            let weights = Tensor4::random(c_out, c_in, k, k, -1.0, 1.0, seed + 1);
+            let config = AcceleratorConfig {
+                tile,
+                ..AcceleratorConfig::refocus_ff()
+            };
+            let exec = OpticalExecutor::new(&config, jtc.clone());
+            let got = exec.conv2d(&input, &weights, stride, padding).unwrap();
+            let want = per_pass_oracle(&jtc, tile, &input, &weights, stride, padding);
+            assert_eq!(got.shape(), want.shape(), "{what}");
+            let peak = want.max_abs();
+            assert!(
+                max_diff(&got, &want) <= 1e-9 * peak,
+                "{what}: diff {} vs peak {peak}",
+                max_diff(&got, &want)
+            );
+            let passes = refocus_nn::tiling::RowSchedule::new(
+                (h + 2 * padding, w + 2 * padding),
+                (k, k),
+                tile,
+                TilingMode::Exact,
+                stride,
+            )
+            .unwrap()
+            .passes()
+            .len();
+            assert_eq!(exec.passes(), (passes * c_in * c_out * 2) as u64, "{what}");
+        }
+    }
+
+    #[test]
+    fn too_small_a_plane_is_an_error() {
+        let input = Tensor3::random(1, 8, 8, 0.0, 1.0, 30);
+        let weights = Tensor4::random(1, 1, 3, 3, -1.0, 1.0, 31);
+        for jtc in [Jtc::ideal(), Jtc::quantized()] {
+            let exec =
+                OpticalExecutor::new(&AcceleratorConfig::refocus_ff(), jtc.with_plane_size(64));
+            assert!(matches!(
+                exec.conv2d(&input, &weights, 1, 1),
+                Err(FunctionalError::Jtc(JtcError::PlaneTooSmall {
+                    available: 64,
+                    ..
+                }))
+            ));
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use refocus_nn::models;
 use refocus_nn::tensor::{Tensor3, Tensor4};
 use refocus_photonics::buffer::FeedbackBuffer;
 use refocus_photonics::faults::{FaultInjector, FaultSpec};
+use refocus_photonics::jtc::Jtc;
 use refocus_photonics::noise::NoiseModel;
 use refocus_photonics::units::GigaHertz;
 
@@ -54,6 +55,23 @@ fn clean_conv2d_is_thread_count_invariant() {
     assert_invariant("clean conv2d", || {
         let exec = OpticalExecutor::ideal();
         exec.conv2d(&input, &weights, 1, 1).unwrap().data().to_vec()
+    });
+}
+
+#[test]
+fn strided_multi_tile_conv2d_is_thread_count_invariant() {
+    // Stride 2 on a 128-waveguide tile: fifteen passes of one strided
+    // output row each, spread over several blocks of shared spectra.
+    let input = Tensor3::random(3, 30, 30, 0.0, 1.0, 31);
+    let weights = Tensor4::random(5, 3, 3, 3, -1.0, 1.0, 32);
+    let config = AcceleratorConfig {
+        tile: 128,
+        ..AcceleratorConfig::refocus_ff()
+    };
+    assert_invariant("strided multi-tile conv2d", || {
+        let exec = OpticalExecutor::new(&config, Jtc::ideal());
+        let out = exec.conv2d(&input, &weights, 2, 1).unwrap();
+        (out.data().to_vec(), exec.passes())
     });
 }
 

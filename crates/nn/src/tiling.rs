@@ -21,14 +21,17 @@
 //!   waveguides, 6 passes, 1590 conversions).
 //!
 //! [`TilingPlan`] is the *performance* view (rows/pass, passes, conversion
-//! counts) consumed by the architecture simulator; [`tiled_conv2d_valid`]
-//! and [`tiled_conv2d_with`] are the *functional* view, validated against
-//! direct 2-D convolution and able to route each 1-D pass through the real
-//! optical JTC model.
+//! counts) consumed by the architecture simulator. [`RowSchedule`] lists
+//! the passes that compute a layer's kept (strided) output rows, and
+//! [`tiled_conv2d_strided_with`] runs them: the *functional* view,
+//! validated against direct 2-D convolution and able to route each 1-D
+//! pass through the real optical JTC model. [`tiled_conv2d_with`] and
+//! [`tiled_conv2d_valid`] are its stride-1 forms.
 
 use refocus_photonics::signal::correlate_valid;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// Whether rows are zero-padded for exactness or packed for density.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -252,10 +255,176 @@ pub fn tile_kernel(kernel: &[Vec<f64>], row_len: usize) -> Vec<f64> {
     out
 }
 
-/// Computes the **valid** 2-D convolution of `input` rows with `kernel`
-/// using row tiling over a `tile`-waveguide 1-D correlator, where each 1-D
-/// pass is executed by `correlate_1d` (a valid 1-D cross-correlation:
-/// `out[i] = Σ_k sig[i+k]·ker[k]`).
+/// One pass of a row-tiled convolution: the input rows its 1-D signal
+/// carries, the kernel rows its 1-D kernel carries, and the (strided)
+/// output rows its valid window feeds.
+#[derive(Debug, Clone)]
+pub struct RowPass {
+    /// Input rows tiled into the signal.
+    input_rows: Range<usize>,
+    /// Kernel rows tiled into the kernel: all of them, unless the layer is
+    /// row-partitioned and the pass carries one slice of the window.
+    kernel_rows: Range<usize>,
+    /// Strided output rows the pass contributes to.
+    output_rows: Range<usize>,
+}
+
+impl RowPass {
+    /// Kernel rows tiled into the pass's kernel.
+    pub fn kernel_rows(&self) -> Range<usize> {
+        self.kernel_rows.clone()
+    }
+}
+
+/// The passes of one row-tiled valid convolution at a given stride.
+///
+/// Only output rows `oy % stride == 0` are computed. A tiled pass holds as
+/// many strided output rows as fit its receptive field
+/// ([`TilingPlan::valid_rows_per_pass`]); a row-partitioned layer streams
+/// each kept output row's `k`-row window through the tile in slices and
+/// accumulates them digitally.
+#[derive(Debug, Clone)]
+pub struct RowSchedule {
+    row_len: usize,
+    stride: usize,
+    kernel_w: usize,
+    out_hw: (usize, usize),
+    passes: Vec<RowPass>,
+}
+
+impl RowSchedule {
+    /// Schedules a valid convolution of an `input_hw` input with a
+    /// `kernel_hw` kernel on a `tile`-waveguide JTC.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TilingError`] for a zero stride or size, a kernel larger
+    /// than the input, or a row wider than the tile.
+    pub fn new(
+        input_hw: (usize, usize),
+        kernel_hw: (usize, usize),
+        tile: usize,
+        mode: TilingMode,
+        stride: usize,
+    ) -> Result<Self, TilingError> {
+        let ((h, w), (kh, kw)) = (input_hw, kernel_hw);
+        if stride == 0 {
+            return Err(TilingError::BadOperand("zero stride"));
+        }
+        if h == 0 || w == 0 {
+            return Err(TilingError::BadOperand("empty input"));
+        }
+        if kh == 0 || kw == 0 {
+            return Err(TilingError::BadOperand("empty kernel"));
+        }
+        if kh > h || kw > w {
+            return Err(TilingError::KernelTooLarge);
+        }
+        let row_len = match mode {
+            TilingMode::Exact => w + kw - 1,
+            TilingMode::Approximate => w,
+        };
+        if row_len > tile {
+            return Err(TilingError::RowTooWide { row_len, tile });
+        }
+
+        let out_h = (h - kh) / stride + 1;
+        let out_w = (w - kw) / stride + 1;
+        let rows_per_pass = (tile / row_len).min(h);
+        let mut passes = Vec::new();
+        if rows_per_pass < kh {
+            // Row partitioning: each output row's k-row window is split
+            // into sub-passes that each fit the tile.
+            for oy in 0..out_h {
+                let top = oy * stride;
+                let mut j0 = 0;
+                while j0 < kh {
+                    let j1 = (j0 + rows_per_pass).min(kh);
+                    passes.push(RowPass {
+                        input_rows: top + j0..top + j1,
+                        kernel_rows: j0..j1,
+                        output_rows: oy..oy + 1,
+                    });
+                    j0 = j1;
+                }
+            }
+        } else {
+            let valid_per_pass = (rows_per_pass - kh) / stride + 1;
+            let mut oy = 0;
+            while oy < out_h {
+                let rows_out = valid_per_pass.min(out_h - oy);
+                let top = oy * stride;
+                passes.push(RowPass {
+                    input_rows: top..top + (rows_out - 1) * stride + kh,
+                    kernel_rows: 0..kh,
+                    output_rows: oy..oy + rows_out,
+                });
+                oy += rows_out;
+            }
+        }
+        Ok(Self {
+            row_len,
+            stride,
+            kernel_w: kw,
+            out_hw: (out_h, out_w),
+            passes,
+        })
+    }
+
+    /// The passes, in execution order.
+    pub fn passes(&self) -> &[RowPass] {
+        &self.passes
+    }
+
+    /// The strided output size.
+    pub fn output_hw(&self) -> (usize, usize) {
+        self.out_hw
+    }
+
+    /// Lengths of the 1-D signal and kernel of `pass`.
+    pub fn operand_lens(&self, pass: &RowPass) -> (usize, usize) {
+        (
+            pass.input_rows.len() * self.row_len,
+            (pass.kernel_rows.len() - 1) * self.row_len + self.kernel_w,
+        )
+    }
+
+    /// The 1-D signal of `pass`: its input rows, tiled.
+    pub fn signal(&self, input: &[Vec<f64>], pass: &RowPass) -> Vec<f64> {
+        let rows: Vec<&[f64]> = input[pass.input_rows.clone()]
+            .iter()
+            .map(Vec::as_slice)
+            .collect();
+        tile_rows(&rows, self.row_len)
+    }
+
+    /// The 1-D kernel of `pass`: its kernel rows, tiled.
+    pub fn kernel(&self, kernel: &[Vec<f64>], pass: &RowPass) -> Vec<f64> {
+        tile_kernel(&kernel[pass.kernel_rows.clone()], self.row_len)
+    }
+
+    /// Adds the strided outputs in `valid`, the valid 1-D correlation of
+    /// `pass`, into the output rows `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `valid` or `out` is smaller than the schedule's shapes.
+    pub fn scatter(&self, pass: &RowPass, valid: &[f64], out: &mut [Vec<f64>]) {
+        let step = self.stride * self.row_len;
+        for (r, row) in out[pass.output_rows.clone()].iter_mut().enumerate() {
+            let line = &valid[r * step..];
+            for (ox, o) in row.iter_mut().enumerate() {
+                *o += line[ox * self.stride];
+            }
+        }
+    }
+}
+
+/// Computes the **valid** 2-D convolution of `input` rows with `kernel` at
+/// `stride`, using row tiling over a `tile`-waveguide 1-D correlator, where
+/// each 1-D pass of the [`RowSchedule`] is executed by `correlate_1d` (a
+/// valid 1-D cross-correlation: `out[i] = Σ_k sig[i+k]·ker[k]`). Only the
+/// kept output rows are ever computed.
 ///
 /// This is the hook the architecture's functional path uses to route passes
 /// through the *optical* JTC model instead of digital math.
@@ -263,11 +432,12 @@ pub fn tile_kernel(kernel: &[Vec<f64>], row_len: usize) -> Vec<f64> {
 /// # Errors
 ///
 /// Returns [`TilingError`] on shape problems.
-pub fn tiled_conv2d_with<F>(
+pub fn tiled_conv2d_strided_with<F>(
     input: &[Vec<f64>],
     kernel: &[Vec<f64>],
     tile: usize,
     mode: TilingMode,
+    stride: usize,
     mut correlate_1d: F,
 ) -> Result<Vec<Vec<f64>>, TilingError>
 where
@@ -279,76 +449,43 @@ where
     if kernel.is_empty() || kernel[0].is_empty() {
         return Err(TilingError::BadOperand("empty kernel"));
     }
-    let h = input.len();
     let w = input[0].len();
     if input.iter().any(|r| r.len() != w) {
         return Err(TilingError::BadOperand("ragged input"));
     }
-    let k = kernel.len();
     let kw = kernel[0].len();
     if kernel.iter().any(|r| r.len() != kw) {
         return Err(TilingError::BadOperand("ragged kernel"));
     }
-    if k > h || kw > w {
-        return Err(TilingError::KernelTooLarge);
-    }
-
-    let row_len = match mode {
-        TilingMode::Exact => w + kw - 1,
-        TilingMode::Approximate => w,
-    };
-    if row_len > tile {
-        return Err(TilingError::RowTooWide { row_len, tile });
-    }
-
-    let out_h = h - k + 1;
-    let out_w = w - kw + 1;
-    let rows_per_pass = (tile / row_len).min(h);
-    let kernel_1d = tile_kernel(kernel, row_len);
-    let mut out = Vec::with_capacity(out_h);
-
-    if rows_per_pass < k {
-        // Row partitioning: compute each output row from a k-row window,
-        // splitting the window across sub-passes that each fit the tile and
-        // accumulating digitally.
-        let rows_per_sub = rows_per_pass.max(1);
-        for oy in 0..out_h {
-            let mut acc = vec![0.0; out_w];
-            let mut j0 = 0;
-            while j0 < k {
-                let j1 = (j0 + rows_per_sub).min(k);
-                let chunk: Vec<&[f64]> = (j0..j1).map(|j| input[oy + j].as_slice()).collect();
-                let signal = tile_rows(&chunk, row_len);
-                let sub_kernel: Vec<Vec<f64>> = kernel[j0..j1].to_vec();
-                let ker_1d = tile_kernel(&sub_kernel, row_len);
-                let corr = correlate_1d(&signal, &ker_1d);
-                for (c, a) in acc.iter_mut().enumerate() {
-                    *a += corr[c];
-                }
-                j0 = j1;
-            }
-            out.push(acc);
-        }
-        return Ok(out);
-    }
-
-    let valid_per_pass = rows_per_pass - k + 1;
-    let mut r0 = 0;
-    while r0 < out_h {
-        let rows_this_pass = rows_per_pass.min(h - r0);
-        let chunk: Vec<&[f64]> = (r0..r0 + rows_this_pass)
-            .map(|r| input[r].as_slice())
-            .collect();
-        let signal = tile_rows(&chunk, row_len);
-        let corr = correlate_1d(&signal, &kernel_1d);
-        let valid_here = (rows_this_pass - k + 1).min(out_h - r0);
-        for r in 0..valid_here {
-            let base = r * row_len;
-            out.push(corr[base..base + out_w].to_vec());
-        }
-        r0 += valid_per_pass.min(valid_here.max(1));
+    let schedule = RowSchedule::new((input.len(), w), (kernel.len(), kw), tile, mode, stride)?;
+    let (out_h, out_w) = schedule.output_hw();
+    let mut out = vec![vec![0.0; out_w]; out_h];
+    for pass in schedule.passes() {
+        let corr = correlate_1d(
+            &schedule.signal(input, pass),
+            &schedule.kernel(kernel, pass),
+        );
+        schedule.scatter(pass, &corr, &mut out);
     }
     Ok(out)
+}
+
+/// [`tiled_conv2d_strided_with`] at stride 1.
+///
+/// # Errors
+///
+/// Returns [`TilingError`] on shape problems.
+pub fn tiled_conv2d_with<F>(
+    input: &[Vec<f64>],
+    kernel: &[Vec<f64>],
+    tile: usize,
+    mode: TilingMode,
+    correlate_1d: F,
+) -> Result<Vec<Vec<f64>>, TilingError>
+where
+    F: FnMut(&[f64], &[f64]) -> Vec<f64>,
+{
+    tiled_conv2d_strided_with(input, kernel, tile, mode, 1, correlate_1d)
 }
 
 /// [`tiled_conv2d_with`] using the digital reference 1-D correlation.
@@ -544,6 +681,76 @@ mod tests {
         assert_eq!(passes, 5);
     }
 
+    /// Every `stride`-th row and column of a stride-1 result.
+    fn subsample(full: &[Vec<f64>], stride: usize) -> Vec<Vec<f64>> {
+        full.iter()
+            .step_by(stride)
+            .map(|r| r.iter().step_by(stride).copied().collect())
+            .collect()
+    }
+
+    #[test]
+    fn strided_tiling_matches_subsampled_conv2d() {
+        // (h, w, k, tile, stride): several tiles with a short last one, a
+        // 1x1 stride-2 downsample, and a row-partitioned stride-2 layer.
+        for (h, w, k, tile, stride, seed) in [
+            (16usize, 16usize, 3usize, 128usize, 2usize, 21u64),
+            (14, 14, 1, 256, 2, 22),
+            (21, 20, 5, 50, 2, 23),
+            (23, 9, 3, 64, 3, 24),
+        ] {
+            let input = random_matrix(h, w, seed);
+            let kernel = random_matrix(k, k, seed + 50);
+            let want = subsample(&conv2d_valid_single(&input, &kernel), stride);
+            let got = tiled_conv2d_strided_with(
+                &input,
+                &kernel,
+                tile,
+                TilingMode::Exact,
+                stride,
+                correlate_valid,
+            )
+            .unwrap();
+            assert_matrix_close(&got, &want, 1e-9);
+        }
+    }
+
+    #[test]
+    fn strided_rows_are_bit_identical_to_stride_one_rows() {
+        // Row-partitioned layers run the same passes for every kept row,
+        // so skipping the others changes nothing that is kept.
+        let input = random_matrix(21, 20, 25);
+        let kernel = random_matrix(5, 5, 26);
+        let full = tiled_conv2d_valid(&input, &kernel, 50, TilingMode::Exact).unwrap();
+        let strided =
+            tiled_conv2d_strided_with(&input, &kernel, 50, TilingMode::Exact, 2, correlate_valid)
+                .unwrap();
+        assert_eq!(strided, subsample(&full, 2));
+    }
+
+    #[test]
+    fn strided_schedule_pass_count_matches_plan() {
+        for (hw, k, stride, pad) in [
+            (14usize, 3usize, 2usize, 1usize),
+            (14, 1, 2, 0),
+            (56, 3, 2, 1),
+            (28, 3, 1, 1),
+            (7, 5, 2, 2),
+        ] {
+            let plan = TilingPlan::plan((hw, hw), k, stride, pad, 256, TilingMode::Exact).unwrap();
+            assert!(!plan.row_partitioned);
+            let padded = hw + 2 * pad;
+            let schedule =
+                RowSchedule::new((padded, padded), (k, k), 256, TilingMode::Exact, stride).unwrap();
+            assert_eq!(schedule.passes().len(), plan.passes, "{hw} k{k} s{stride}");
+            assert_eq!(schedule.output_hw().0, plan.output_rows);
+            for pass in schedule.passes() {
+                assert!(pass.input_rows.len() <= plan.rows_per_pass);
+                assert!(pass.output_rows.len() <= plan.valid_rows_per_pass);
+            }
+        }
+    }
+
     #[test]
     fn shape_errors() {
         let input = random_matrix(4, 4, 1);
@@ -560,6 +767,10 @@ mod tests {
             tiled_conv2d_valid(&[], &kernel, 64, TilingMode::Exact),
             Err(TilingError::BadOperand(_))
         ));
+        assert_eq!(
+            tiled_conv2d_strided_with(&input, &input, 64, TilingMode::Exact, 0, correlate_valid),
+            Err(TilingError::BadOperand("zero stride"))
+        );
     }
 
     #[test]

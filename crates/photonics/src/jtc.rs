@@ -13,7 +13,7 @@
 //! The output plane (paper Eq. 1) contains the two cross-correlation terms
 //! at `±(x_s + x_k)` plus a central non-convolution term `N(x)` that is
 //! spatially filtered out. This module simulates the full field pipeline
-//! with [`Complex64`](crate::complex::Complex64) arrays and extracts the correlation term, optionally
+//! with [`Complex64`] arrays and extracts the correlation term, optionally
 //! passing inputs/outputs through the 8-bit DAC/ADC models so end-to-end
 //! numerics include quantization.
 //!
@@ -35,10 +35,13 @@
 //! }
 //! ```
 
+use crate::complex::Complex64;
+use crate::components::nonlinear::NonlinearResponse;
 use crate::components::{Adc, Dac, NonlinearMaterial};
 use crate::fft::{ifft, ifft_real, rfft};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// Errors produced when a JTC pass cannot be computed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,6 +150,61 @@ impl Jtc {
         self
     }
 
+    /// True if a DAC or an ADC sits in the pass. Both act on one pass at a
+    /// time (the DAC normalizes by the joint peak of signal and kernel, the
+    /// ADC by the pass's own full scale), so a pass with converters cannot
+    /// share lens-1 spectra or detector sums with other passes.
+    pub fn has_converters(&self) -> bool {
+        self.dac.is_some() || self.adc.is_some()
+    }
+
+    /// Where one pass puts its operands on the input plane: the kernel at
+    /// 0, the signal at `sep`, on an `n`-sample plane. Every pass —
+    /// [`Jtc::correlate`], [`Jtc::output_plane`] and the spectral path —
+    /// takes its layout from here.
+    ///
+    /// # Errors
+    ///
+    /// [`JtcError::EmptyInput`] for a zero length, and
+    /// [`JtcError::PlaneTooSmall`] if a fixed plane cannot hold both
+    /// operands with their output terms separated.
+    pub fn plane_geometry(
+        &self,
+        signal_len: usize,
+        kernel_len: usize,
+    ) -> Result<PlaneGeometry, JtcError> {
+        if signal_len == 0 || kernel_len == 0 {
+            return Err(JtcError::EmptyInput);
+        }
+        let (ls, lk) = (signal_len, kernel_len);
+        // Separation between kernel origin and signal origin. With the
+        // kernel at 0 and the signal at `sep`, the cross term sits at lags
+        // `sep - (lk-1) ..= sep + (ls-1)` of the output autocorrelation,
+        // while the central N(x) term spans `±(max(ls,lk)-1)`. Keeping them
+        // disjoint requires sep >= max(ls,lk) + lk - 1; one extra guard
+        // sample is added.
+        let sep = ls.max(lk) + lk;
+        // The autocorrelation is circular with period n; the +sep and -sep
+        // terms must not wrap into each other.
+        let required = 2 * (sep + ls.max(lk));
+        let n = match self.plane_size {
+            Some(size) if size < required => {
+                return Err(JtcError::PlaneTooSmall {
+                    required,
+                    available: size,
+                })
+            }
+            Some(size) => size,
+            None => required.next_power_of_two(),
+        };
+        Ok(PlaneGeometry {
+            signal_len,
+            kernel_len,
+            sep,
+            n,
+        })
+    }
+
     /// Performs one optical pass, correlating `signal` with `kernel`.
     ///
     /// Both inputs must be non-negative (optical powers). The result's
@@ -160,40 +218,8 @@ impl Jtc {
     pub fn correlate(&self, signal: &[f64], kernel: &[f64]) -> Result<JtcOutput, JtcError> {
         let _pass = refocus_obs::span("jtc.correlate");
         refocus_obs::counter("jtc.passes", 1);
-        if signal.is_empty() || kernel.is_empty() {
-            return Err(JtcError::EmptyInput);
-        }
-        if signal.iter().any(|&v| v < 0.0) {
-            return Err(JtcError::NegativeValue { which: "signal" });
-        }
-        if kernel.iter().any(|&v| v < 0.0) {
-            return Err(JtcError::NegativeValue { which: "kernel" });
-        }
-
-        let ls = signal.len();
-        let lk = kernel.len();
-        // Separation between kernel origin and signal origin. With the
-        // kernel at 0 and the signal at `sep`, the cross term sits at lags
-        // `sep - (lk-1) ..= sep + (ls-1)` of the output autocorrelation,
-        // while the central N(x) term spans `±(max(ls,lk)-1)`. Keeping them
-        // disjoint requires sep >= max(ls,lk) + lk - 1; one extra guard
-        // sample is added.
-        let sep = ls.max(lk) + lk;
-        // The autocorrelation is circular with period n; the +sep and -sep
-        // terms must not wrap into each other.
-        let required = 2 * (sep + ls.max(lk));
-        let n = match self.plane_size {
-            Some(size) => {
-                if size < required {
-                    return Err(JtcError::PlaneTooSmall {
-                        required,
-                        available: size,
-                    });
-                }
-                size
-            }
-            None => required.next_power_of_two(),
-        };
+        let g = self.checked_geometry(signal, kernel)?;
+        let (ls, lk, sep, n) = (signal.len(), kernel.len(), g.sep, g.n);
 
         // Stage 1: compose the joint input plane, quantizing through the DAC
         // if configured. DACs encode normalized values; normalize by the
@@ -247,12 +273,7 @@ impl Jtc {
         // For non-negative inputs the term is real and non-negative;
         // detection reads its magnitude.
         let _s = refocus_obs::span("jtc.readout");
-        let full_len = ls + lk - 1;
-        let mut full = Vec::with_capacity(full_len);
-        for lag in -(lk as isize - 1)..=(ls as isize - 1) {
-            let idx = (sep as isize + lag).rem_euclid(n as isize) as usize;
-            full.push(plane[idx].re.max(0.0));
-        }
+        let mut full = g.read_cross_term(&plane, -(lk as isize - 1)..ls as isize);
 
         // ADC quantization against the observed full-scale.
         if let Some(adc) = &self.adc {
@@ -270,6 +291,72 @@ impl Jtc {
             signal_len: ls,
             plane_size: n,
         })
+    }
+
+    /// The plane geometry of one pass, after checking both operands are
+    /// non-empty optical powers.
+    fn checked_geometry(&self, signal: &[f64], kernel: &[f64]) -> Result<PlaneGeometry, JtcError> {
+        if signal.is_empty() || kernel.is_empty() {
+            return Err(JtcError::EmptyInput);
+        }
+        check_power("signal", signal)?;
+        check_power("kernel", kernel)?;
+        self.plane_geometry(signal.len(), kernel.len())
+    }
+
+    /// Lens 1 applied to the signal alone, placed at `geometry.sep` where
+    /// [`Jtc::correlate`] puts it. Lens 1 is linear, so the spectrum of a
+    /// composed plane is the signal spectrum plus the kernel spectrum: one
+    /// signal spectrum serves every kernel it meets on this geometry.
+    ///
+    /// # Errors
+    ///
+    /// [`JtcError::NegativeValue`] if a sample is negative.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `signal` is not `geometry.signal_len` samples long.
+    pub fn signal_spectrum(
+        &self,
+        geometry: PlaneGeometry,
+        signal: &[f64],
+    ) -> Result<Spectrum, JtcError> {
+        geometry.spectrum("signal", geometry.sep, geometry.signal_len, signal)
+    }
+
+    /// Lens 1 applied to the kernel alone, placed at 0 where
+    /// [`Jtc::correlate`] puts it. Depends only on the kernel and the plane
+    /// size, so one kernel spectrum serves every signal tile of that size.
+    ///
+    /// # Errors
+    ///
+    /// [`JtcError::NegativeValue`] if a sample is negative.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kernel` is not `geometry.kernel_len` samples long.
+    pub fn kernel_spectrum(
+        &self,
+        geometry: PlaneGeometry,
+        kernel: &[f64],
+    ) -> Result<Spectrum, JtcError> {
+        geometry.spectrum("kernel", 0, geometry.kernel_len, kernel)
+    }
+
+    /// A photodetector that sums many passes on `geometry`; under the
+    /// square law it runs lens 2 once for the sum (see [`DetectorSum`]).
+    pub fn detector(&self, geometry: PlaneGeometry) -> DetectorSum {
+        let sum = match self.nonlinearity.response() {
+            NonlinearResponse::SquareLaw => DetectedSum::Intensity(vec![0.0; geometry.n / 2 + 1]),
+            NonlinearResponse::Saturating { .. } => {
+                DetectedSum::Readout(vec![0.0; geometry.valid_lags().len()])
+            }
+        };
+        DetectorSum {
+            nonlinearity: self.nonlinearity,
+            geometry,
+            sum,
+        }
     }
 
     /// Performs one optical pass under a device-fault model.
@@ -321,31 +408,12 @@ impl Jtc {
         signal: &[f64],
         kernel: &[f64],
     ) -> Result<(Vec<f64>, usize), JtcError> {
-        if signal.is_empty() || kernel.is_empty() {
-            return Err(JtcError::EmptyInput);
-        }
-        if signal.iter().any(|&v| v < 0.0) {
-            return Err(JtcError::NegativeValue { which: "signal" });
-        }
-        if kernel.iter().any(|&v| v < 0.0) {
-            return Err(JtcError::NegativeValue { which: "kernel" });
-        }
-        let ls = signal.len();
-        let lk = kernel.len();
-        let sep = ls.max(lk) + lk;
-        let n = (2 * (sep + ls.max(lk))).next_power_of_two();
-        let mut input_plane = vec![0.0_f64; n];
-        for (i, &v) in kernel.iter().enumerate() {
-            input_plane[i] = v;
-        }
-        for (i, &v) in signal.iter().enumerate() {
-            input_plane[sep + i] = v;
-        }
-        let mut spectrum = rfft(&input_plane);
+        let g = self.checked_geometry(signal, kernel)?;
+        let mut spectrum = rfft(&g.compose(signal, kernel));
         self.nonlinearity.apply(&mut spectrum);
         let intensity: Vec<f64> = spectrum.iter().map(|v| v.re).collect();
         let plane = ifft_real(&intensity);
-        Ok((plane.into_iter().map(|v| v.re.max(0.0)).collect(), sep))
+        Ok((plane.into_iter().map(|v| v.re.max(0.0)).collect(), g.sep))
     }
 
     /// Runs the same pipeline but **without** the Fourier-plane
@@ -363,23 +431,181 @@ impl Jtc {
         signal: &[f64],
         kernel: &[f64],
     ) -> Result<Vec<f64>, JtcError> {
-        if signal.is_empty() || kernel.is_empty() {
-            return Err(JtcError::EmptyInput);
-        }
-        let ls = signal.len();
-        let lk = kernel.len();
-        let sep = ls + lk;
-        let n = (2 * (sep + ls)).next_power_of_two();
-        let mut input_plane = vec![0.0_f64; n];
-        for (i, &v) in kernel.iter().enumerate() {
-            input_plane[i] = v;
-        }
-        for (i, &v) in signal.iter().enumerate() {
-            input_plane[sep + i] = v;
-        }
-        let mut plane = rfft(&input_plane);
+        let g = self.plane_geometry(signal.len(), kernel.len())?;
+        let mut plane = rfft(&g.compose(signal, kernel));
         ifft(&mut plane);
-        Ok(plane[sep..sep + ls].iter().map(|v| v.norm()).collect())
+        Ok(plane[g.sep..g.sep + g.signal_len]
+            .iter()
+            .map(|v| v.norm())
+            .collect())
+    }
+}
+
+/// Rejects negative samples: a JTC operand is an optical power.
+fn check_power(which: &'static str, values: &[f64]) -> Result<(), JtcError> {
+    if values.iter().any(|&v| v < 0.0) {
+        return Err(JtcError::NegativeValue { which });
+    }
+    Ok(())
+}
+
+/// The input-plane layout of one pass (see [`Jtc::plane_geometry`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PlaneGeometry {
+    signal_len: usize,
+    kernel_len: usize,
+    sep: usize,
+    n: usize,
+}
+
+impl PlaneGeometry {
+    /// Samples on the plane.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The joint input plane: kernel at 0, signal at `sep`.
+    fn compose(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
+        let mut plane = vec![0.0_f64; self.n];
+        plane[..kernel.len()].copy_from_slice(kernel);
+        plane[self.sep..self.sep + signal.len()].copy_from_slice(signal);
+        plane
+    }
+
+    /// Lens-1 spectrum of one operand of `len` samples placed at `origin`.
+    fn spectrum(
+        &self,
+        which: &'static str,
+        origin: usize,
+        len: usize,
+        values: &[f64],
+    ) -> Result<Spectrum, JtcError> {
+        assert_eq!(
+            values.len(),
+            len,
+            "{which} length differs from its plane geometry"
+        );
+        check_power(which, values)?;
+        let mut plane = vec![0.0_f64; self.n];
+        plane[origin..origin + len].copy_from_slice(values);
+        let mut bins = rfft(&plane);
+        // A real field's spectrum is Hermitian: bins above n/2 are the
+        // conjugates of those below and add nothing.
+        bins.truncate(self.n / 2 + 1);
+        bins.shrink_to_fit();
+        Ok(Spectrum { origin, len, bins })
+    }
+
+    /// Lens 2 over a Fourier-plane intensity given as bins `0..=n/2` (the
+    /// rest mirror them), then readout of the valid window.
+    fn lens2_valid(&self, half: &[f64]) -> Vec<f64> {
+        let n = self.n;
+        let mut full = vec![0.0; n];
+        full[..half.len()].copy_from_slice(half);
+        for k in half.len()..n {
+            full[k] = half[n - k];
+        }
+        self.read_cross_term(&ifft_real(&full), self.valid_lags())
+    }
+
+    /// The lags of the valid window, `0 ..= S-K`.
+    fn valid_lags(&self) -> Range<isize> {
+        0..self.signal_len as isize - self.kernel_len as isize + 1
+    }
+
+    /// Photodetector readout of the `+sep` cross term at `lags`, clipped at
+    /// zero (detection reads magnitude).
+    fn read_cross_term(&self, plane: &[Complex64], lags: Range<isize>) -> Vec<f64> {
+        lags.map(|lag| {
+            let idx = (self.sep as isize + lag).rem_euclid(self.n as isize) as usize;
+            plane[idx].re.max(0.0)
+        })
+        .collect()
+    }
+}
+
+/// The lens-1 spectrum of one operand on its own (bins `0..=n/2`; the
+/// rest are their conjugates). See [`Jtc::signal_spectrum`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Spectrum {
+    origin: usize,
+    len: usize,
+    bins: Vec<Complex64>,
+}
+
+/// Detector-side accumulation of passes that share one plane geometry
+/// (temporal accumulation §4.1.4, WDM summing §4.2); reads the sum of the
+/// passes' valid windows as [`Jtc::correlate`] would detect them one by
+/// one.
+///
+/// Under the square law each pass's cross term is a correlation of
+/// non-negative operands, so it is non-negative and the readout's clip at
+/// zero commutes with the sum. Lens 2 is linear, so the detector sums the
+/// passes' Fourier-plane intensities and transforms once. Any other
+/// response can drive a pass's cross term below zero; those passes each
+/// get their own lens-2 transform and clip before they are summed.
+#[derive(Debug, Clone)]
+pub struct DetectorSum {
+    nonlinearity: NonlinearMaterial,
+    geometry: PlaneGeometry,
+    sum: DetectedSum,
+}
+
+#[derive(Debug, Clone)]
+enum DetectedSum {
+    /// Summed Fourier-plane intensity, bins `0..=n/2`.
+    Intensity(Vec<f64>),
+    /// Summed per-pass valid windows.
+    Readout(Vec<f64>),
+}
+
+impl DetectorSum {
+    /// Adds one pass: `signal` at `sep` and `kernel` at 0 on this
+    /// detector's geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either spectrum was computed for another geometry.
+    pub fn add(&mut self, signal: &Spectrum, kernel: &Spectrum) {
+        let g = &self.geometry;
+        let bins = g.n / 2 + 1;
+        assert!(
+            signal.origin == g.sep
+                && signal.len == g.signal_len
+                && kernel.origin == 0
+                && kernel.len == g.kernel_len
+                && signal.bins.len() == bins
+                && kernel.bins.len() == bins,
+            "spectra computed for another plane geometry"
+        );
+        let nl = self.nonlinearity;
+        let pass = signal
+            .bins
+            .iter()
+            .zip(&kernel.bins)
+            .map(|(&s, &k)| nl.apply_point(s + k).re);
+        match &mut self.sum {
+            DetectedSum::Intensity(sum) => {
+                for (acc, v) in sum.iter_mut().zip(pass) {
+                    *acc += v;
+                }
+            }
+            DetectedSum::Readout(sum) => {
+                let intensity: Vec<f64> = pass.collect();
+                for (acc, v) in sum.iter_mut().zip(g.lens2_valid(&intensity)) {
+                    *acc += v;
+                }
+            }
+        }
+    }
+
+    /// The summed valid window (lags `0 ..= S-K`), as [`JtcOutput::valid`]
+    /// reads one pass.
+    pub fn read_valid(&self) -> Vec<f64> {
+        match &self.sum {
+            DetectedSum::Intensity(sum) => self.geometry.lens2_valid(sum),
+            DetectedSum::Readout(sum) => sum.clone(),
+        }
     }
 }
 
@@ -520,6 +746,80 @@ mod tests {
             }
             other => panic!("expected PlaneTooSmall, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn output_plane_honours_a_fixed_plane() {
+        let s = pseudo_random(8, 1);
+        let k = pseudo_random(3, 2);
+        assert!(matches!(
+            Jtc::ideal().with_plane_size(16).output_plane(&s, &k),
+            Err(JtcError::PlaneTooSmall { available: 16, .. })
+        ));
+        let (plane, sep) = Jtc::ideal()
+            .with_plane_size(64)
+            .output_plane(&s, &k)
+            .unwrap();
+        assert_eq!(plane.len(), 64);
+        assert_eq!(sep, Jtc::ideal().plane_geometry(8, 3).unwrap().sep);
+    }
+
+    #[test]
+    fn plane_geometry_is_the_plane_correlate_uses() {
+        for jtc in [Jtc::ideal(), Jtc::ideal().with_plane_size(400)] {
+            for (ls, lk) in [(8usize, 3usize), (3, 8), (64, 25), (1, 1)] {
+                let g = jtc.plane_geometry(ls, lk).unwrap();
+                let out = jtc
+                    .correlate(&pseudo_random(ls, 3), &pseudo_random(lk, 4))
+                    .unwrap();
+                assert_eq!(out.plane_size(), g.n);
+                assert!(g.sep >= ls.max(lk) + lk - 1 && 2 * (g.sep + ls.max(lk)) <= g.n);
+            }
+        }
+        assert_eq!(Jtc::ideal().plane_geometry(0, 3), Err(JtcError::EmptyInput));
+    }
+
+    #[test]
+    fn detector_sum_matches_summed_correlate_passes() {
+        // Square law sums intensities before one lens-2 transform; a
+        // saturating response reads each pass on its own. Either way the
+        // detector must equal the per-pass readouts added up.
+        for jtc in [
+            Jtc::ideal(),
+            Jtc::ideal().with_nonlinearity(NonlinearMaterial::saturating(50)),
+        ] {
+            let g = jtc.plane_geometry(40, 7).unwrap();
+            let mut detector = jtc.detector(g);
+            let mut want = vec![0.0; 34];
+            for seed in 0..3 {
+                let s = pseudo_random(40, 60 + seed);
+                let k = pseudo_random(7, 70 + seed);
+                detector.add(
+                    &jtc.signal_spectrum(g, &s).unwrap(),
+                    &jtc.kernel_spectrum(g, &k).unwrap(),
+                );
+                for (w, v) in want.iter_mut().zip(jtc.correlate(&s, &k).unwrap().valid()) {
+                    *w += v;
+                }
+            }
+            let got = detector.read_valid();
+            let peak = want.iter().fold(0.0_f64, |m, &v| m.max(v));
+            assert!(max_abs_diff(&got, &want) < 1e-12 * peak, "{jtc:?}");
+        }
+    }
+
+    #[test]
+    fn spectra_reject_negative_operands() {
+        let jtc = Jtc::ideal();
+        let g = jtc.plane_geometry(4, 2).unwrap();
+        assert_eq!(
+            jtc.signal_spectrum(g, &[1.0, -1.0, 0.0, 0.0]),
+            Err(JtcError::NegativeValue { which: "signal" })
+        );
+        assert_eq!(
+            jtc.kernel_spectrum(g, &[-1.0, 0.0]),
+            Err(JtcError::NegativeValue { which: "kernel" })
+        );
     }
 
     #[test]

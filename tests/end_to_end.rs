@@ -9,8 +9,10 @@ use refocus::arch::perf::LayerPerf;
 use refocus::arch::schedule::Schedule;
 use refocus::nn::conv::conv2d;
 use refocus::nn::layer::ConvSpec;
+use refocus::nn::models;
 use refocus::nn::quant::PSEUDO_NEGATIVE_LATENCY_FACTOR;
 use refocus::nn::tensor::{Tensor3, Tensor4};
+use refocus::nn::tiling::{TilingMode, TilingPlan};
 use refocus::photonics::jtc::Jtc;
 use refocus::photonics::noise::NoiseModel;
 
@@ -75,30 +77,76 @@ fn functional_pass_count_matches_perf_plan() {
     // The optical executor's pass counter must agree with the analytical
     // tiling plan: passes = plan.passes x channels x filters x 2 halves
     // (per-channel plans on the padded input, one wavelength, one RFCU).
-    let h = 14usize;
-    let w = 14usize;
-    let k = 3usize;
-    let pad = 1usize;
-    let in_ch = 4usize;
-    let out_ch = 2usize;
+    // Row-partitioned layers and kernels above 25 taps are left out: there
+    // the executor and the plan still count differently.
+    let mut layers = vec![
+        ConvSpec::new("3x3", 4, 2, 3, 1, 1, (14, 14)),
+        // Five input rows per pass: a strided pass yields two (3x3) or
+        // three (1x1) kept output rows, not three or five stride-1 rows.
+        ConvSpec::new("3x3/2", 2, 3, 3, 2, 1, (40, 40)),
+        ConvSpec::new("1x1/2", 3, 2, 1, 2, 0, (51, 51)),
+    ];
+    // Every such layer of ResNet-18 and AlexNet at 1/8 of the channels
+    // and 1/4 of the input size.
+    let tile = AcceleratorConfig::refocus_ff().tile;
+    for net in [models::resnet18(), models::alexnet()] {
+        for l in net.layers() {
+            let scaled = ConvSpec::new(
+                format!("{}.{}", net.name(), l.name),
+                (l.in_channels / 8).max(1),
+                (l.out_channels / 8).max(1),
+                l.kernel,
+                l.stride,
+                l.padding,
+                ((l.input_hw.0 / 4).max(1), (l.input_hw.1 / 4).max(1)),
+            );
+            let plan = TilingPlan::plan(
+                scaled.input_hw,
+                scaled.kernel,
+                scaled.stride,
+                scaled.padding,
+                tile,
+                TilingMode::Exact,
+            )
+            .unwrap();
+            if !plan.row_partitioned && scaled.kernel * scaled.kernel <= 25 {
+                layers.push(scaled);
+            }
+        }
+    }
+    assert!(layers.len() > 20, "{} layers", layers.len());
 
-    let exec = OpticalExecutor::ideal();
-    let x = Tensor3::random(in_ch, h, w, 0.0, 1.0, 300);
-    let weights = Tensor4::random(out_ch, in_ch, k, k, -0.5, 0.5, 301);
-    exec.conv2d(&x, &weights, 1, pad).unwrap();
+    for (seed, l) in layers.iter().enumerate() {
+        let exec = OpticalExecutor::ideal();
+        let (h, w) = l.input_hw;
+        let x = Tensor3::random(l.in_channels, h, w, 0.0, 1.0, 300 + seed as u64);
+        let weights = Tensor4::random(
+            l.out_channels,
+            l.in_channels,
+            l.kernel,
+            l.kernel,
+            -0.5,
+            0.5,
+            400 + seed as u64,
+        );
+        let out = exec.conv2d(&x, &weights, l.stride, l.padding).unwrap();
+        assert_eq!((out.height(), out.width()), l.output_hw(), "{}", l.name);
 
-    let plan = refocus::nn::tiling::TilingPlan::plan(
-        (h, w),
-        k,
-        1,
-        pad,
-        256,
-        refocus::nn::tiling::TilingMode::Exact,
-    )
-    .unwrap();
-    let expected =
-        plan.passes as u64 * in_ch as u64 * out_ch as u64 * PSEUDO_NEGATIVE_LATENCY_FACTOR as u64;
-    assert_eq!(exec.passes(), expected);
+        let plan = TilingPlan::plan(
+            l.input_hw,
+            l.kernel,
+            l.stride,
+            l.padding,
+            tile,
+            TilingMode::Exact,
+        )
+        .unwrap();
+        let expected = plan.passes as u64
+            * l.in_channels as u64
+            * l.out_channels as u64
+            * PSEUDO_NEGATIVE_LATENCY_FACTOR as u64;
+        assert_eq!(exec.passes(), expected, "{}", l.name);
+    }
 }
 
 #[test]
