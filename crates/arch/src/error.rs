@@ -1,8 +1,8 @@
 //! Unified simulation error hierarchy.
 //!
 //! Every fallible entry point of the simulator — [`simulate`],
-//! [`simulate_suite`], the [`FaultCampaign`](crate::campaign) runner, and
-//! the `refocus-core` facade — returns [`SimError`], one enum covering
+//! [`simulate_suite`] and the [`FaultCampaign`](crate::campaign) runner —
+//! returns [`SimError`], one enum covering
 //! configuration, mapping, and dynamic-range failures. Callers match on
 //! the variant instead of juggling per-layer error types; the underlying
 //! typed errors stay reachable through [`std::error::Error::source`] and

@@ -889,20 +889,45 @@ mod tests {
         use refocus_photonics::faults::{FaultInjector, FaultSpec};
         let input = Tensor3::random(2, 8, 8, 0.0, 1.0, 18);
         let weights = Tensor4::random(2, 2, 3, 3, -1.0, 1.0, 19);
-        let reference = conv2d(&input, &weights, 1, 1).expect("digital reference runs");
-        let base = FaultSpec::none().with_dead_pixel_rate(0.02);
-        let mut prev = 0.0;
-        for severity in [0.0, 1.0, 4.0] {
-            let exec =
-                OpticalExecutor::ideal().with_faults(FaultInjector::new(base.scaled(severity), 77));
-            let out = exec
+        let run = |spec: FaultSpec, seed: u64| {
+            OpticalExecutor::ideal()
+                .with_faults(FaultInjector::new(spec, seed))
                 .conv2d(&input, &weights, 1, 1)
-                .expect("optical conv runs");
-            let err = max_diff(&out, &reference);
-            assert!(err >= prev, "severity {severity}: error {err} < {prev}");
-            prev = err;
+                .expect("optical conv runs")
+        };
+        // One spec per fault knob, each set alone. Error is measured
+        // against the fault-free optical output, so severity 0 scores
+        // exactly 0; it must not shrink as severity grows, and every knob
+        // must move the output by far more than the ~1e-15 rounding gap
+        // between the fault-free and the faulted pass paths.
+        let knobs = [
+            (
+                "stuck taps",
+                FaultSpec::none().with_stuck_weights(0.05, 0.0),
+            ),
+            ("dead pixels", FaultSpec::none().with_dead_pixel_rate(0.02)),
+            (
+                "laser drift",
+                FaultSpec::none().with_laser_drift(0.005, 0.1),
+            ),
+        ];
+        for (knob, base) in knobs {
+            let mut moved = false;
+            for seed in [77, 78, 79] {
+                let clean = run(base.scaled(0.0), seed);
+                let mut prev = 0.0;
+                for severity in [1.0, 4.0] {
+                    let err = max_diff(&run(base.scaled(severity), seed), &clean);
+                    assert!(
+                        err >= prev,
+                        "{knob}, seed {seed}, severity {severity}: error {err} < {prev}"
+                    );
+                    prev = err;
+                }
+                moved |= prev > 1e-9;
+            }
+            assert!(moved, "{knob} never changed the conv output");
         }
-        assert!(prev > 0.0, "highest severity produced no error");
     }
 
     #[test]

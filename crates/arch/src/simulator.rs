@@ -358,6 +358,19 @@ mod tests {
     }
 
     #[test]
+    fn presets_run() {
+        for cfg in [
+            AcceleratorConfig::refocus_ff(),
+            AcceleratorConfig::refocus_fb(),
+            AcceleratorConfig::photofourier_baseline(),
+            AcceleratorConfig::single_jtc(),
+        ] {
+            let r = simulate(&models::resnet18(), &cfg).unwrap();
+            assert!(r.metrics.fps > 0.0, "{}", r.config_name);
+        }
+    }
+
+    #[test]
     fn suite_report_exposes_networks() {
         let suite = models::evaluation_suite();
         let cfg = AcceleratorConfig::refocus_ff();

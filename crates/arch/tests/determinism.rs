@@ -45,7 +45,6 @@ fn fault_spec() -> FaultSpec {
         .with_stuck_weights(0.05, 0.25)
         .with_dead_pixel_rate(0.05)
         .with_laser_drift(0.005, 0.1)
-        .with_buffer_loss_sigma(0.01)
 }
 
 #[test]

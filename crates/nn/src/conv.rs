@@ -132,91 +132,6 @@ pub fn conv2d(
     Ok(out)
 }
 
-/// Lowers a convolution input into the im2col patch matrix: one row per
-/// output position, one column per `(channel, ky, kx)` tap.
-///
-/// # Panics
-///
-/// Panics if the kernel does not fit the padded input or stride is zero.
-pub fn im2col(
-    input: &Tensor3,
-    kernel_h: usize,
-    kernel_w: usize,
-    stride: usize,
-    padding: usize,
-) -> Vec<Vec<f64>> {
-    let out_h = conv_output_size(input.height(), kernel_h, stride, padding)
-        .expect("kernel must fit the padded input");
-    let out_w = conv_output_size(input.width(), kernel_w, stride, padding)
-        .expect("kernel must fit the padded input");
-    let cols = input.channels() * kernel_h * kernel_w;
-    let mut matrix = Vec::with_capacity(out_h * out_w);
-    for oy in 0..out_h {
-        for ox in 0..out_w {
-            let mut row = Vec::with_capacity(cols);
-            for c in 0..input.channels() {
-                for ky in 0..kernel_h {
-                    for kx in 0..kernel_w {
-                        let y = (oy * stride + ky) as isize - padding as isize;
-                        let x = (ox * stride + kx) as isize - padding as isize;
-                        row.push(input.get_padded(c, y, x));
-                    }
-                }
-            }
-            matrix.push(row);
-        }
-    }
-    matrix
-}
-
-/// Convolution via im2col + matrix multiply — the lowering digital
-/// accelerators use, kept as an independent cross-check of [`conv2d`].
-///
-/// # Errors
-///
-/// Returns [`ConvError`] under the same conditions as [`conv2d`].
-pub fn conv2d_im2col(
-    input: &Tensor3,
-    weights: &Tensor4,
-    stride: usize,
-    padding: usize,
-) -> Result<Tensor3, ConvError> {
-    if stride == 0 {
-        return Err(ConvError::ZeroStride);
-    }
-    if input.channels() != weights.in_channels() {
-        return Err(ConvError::ChannelMismatch {
-            input: input.channels(),
-            weights: weights.in_channels(),
-        });
-    }
-    let (kh, kw) = (weights.kernel_h(), weights.kernel_w());
-    let out_h =
-        conv_output_size(input.height(), kh, stride, padding).ok_or(ConvError::KernelTooLarge {
-            input: (input.height() + 2 * padding, input.width() + 2 * padding),
-            kernel: (kh, kw),
-        })?;
-    let out_w =
-        conv_output_size(input.width(), kw, stride, padding).ok_or(ConvError::KernelTooLarge {
-            input: (input.height() + 2 * padding, input.width() + 2 * padding),
-            kernel: (kh, kw),
-        })?;
-    let patches = im2col(input, kh, kw, stride, padding);
-    // Weight matrix: one row per filter, flattened (channel, ky, kx).
-    let mut out = Tensor3::zeros(weights.out_channels(), out_h, out_w);
-    for o in 0..weights.out_channels() {
-        let mut filter = Vec::with_capacity(weights.in_channels() * kh * kw);
-        for i in 0..weights.in_channels() {
-            filter.extend(weights.kernel_flat(o, i));
-        }
-        for (p, patch) in patches.iter().enumerate() {
-            let dot: f64 = patch.iter().zip(&filter).map(|(a, b)| a * b).sum();
-            out.set(o, p / out_w, p % out_w, dot);
-        }
-    }
-    Ok(out)
-}
-
 /// Single-channel valid 2-D convolution on raw row-major matrices — used by
 /// the tiling tests where building full tensors is overkill.
 ///
@@ -391,42 +306,6 @@ mod tests {
                 assert!((a.get(0, y, x) - bv).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn im2col_matrix_shape_and_content() {
-        let input =
-            Tensor3::from_data(1, 3, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]).unwrap();
-        let m = im2col(&input, 2, 2, 1, 0);
-        assert_eq!(m.len(), 4); // 2x2 output positions
-        assert_eq!(m[0], vec![1.0, 2.0, 4.0, 5.0]);
-        assert_eq!(m[3], vec![5.0, 6.0, 8.0, 9.0]);
-    }
-
-    #[test]
-    fn im2col_conv_matches_direct_conv() {
-        for (stride, padding, seed) in [(1usize, 0usize, 1u64), (1, 1, 2), (2, 1, 3), (2, 0, 4)] {
-            let input = Tensor3::random(3, 9, 7, 0.0, 1.0, seed);
-            let w = Tensor4::random(4, 3, 3, 3, -1.0, 1.0, seed + 10);
-            let direct = conv2d(&input, &w, stride, padding).unwrap();
-            let lowered = conv2d_im2col(&input, &w, stride, padding).unwrap();
-            assert_eq!(direct.shape(), lowered.shape());
-            for (a, b) in direct.data().iter().zip(lowered.data()) {
-                assert!((a - b).abs() < 1e-12, "stride={stride} pad={padding}");
-            }
-        }
-    }
-
-    #[test]
-    fn im2col_conv_rejects_bad_shapes() {
-        let input = Tensor3::zeros(2, 4, 4);
-        let w = Tensor4::zeros(1, 3, 3, 3);
-        assert!(matches!(
-            conv2d_im2col(&input, &w, 1, 0),
-            Err(ConvError::ChannelMismatch { .. })
-        ));
-        let ok = Tensor4::zeros(1, 2, 3, 3);
-        assert_eq!(conv2d_im2col(&input, &ok, 0, 0), Err(ConvError::ZeroStride));
     }
 
     #[test]

@@ -96,16 +96,6 @@ impl Quantizer {
     pub fn fake_quantize(&self, value: f64) -> f64 {
         self.dequantize(self.quantize(value))
     }
-
-    /// Applies fake quantization to a whole activation tensor.
-    pub fn fake_quantize_tensor3(&self, t: &mut Tensor3) {
-        t.map_inplace(|v| self.fake_quantize(v));
-    }
-
-    /// Applies fake quantization to a whole weight tensor.
-    pub fn fake_quantize_tensor4(&self, t: &mut Tensor4) {
-        t.map_inplace(|v| self.fake_quantize(v));
-    }
 }
 
 /// A filter bank split for pseudo-negative processing: `weights ==

@@ -18,7 +18,7 @@
 //! [`FeedbackBuffer::dynamic_range`] regenerate it exactly (the table
 //! assumes the final 16-cycle delay line).
 
-use crate::components::{DelayLine, Mrr, YJunction};
+use crate::components::{DelayLine, YJunction};
 use crate::units::GigaHertz;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -200,113 +200,6 @@ impl FeedbackBuffer {
             circulating = self.delay_line.propagate_power(to_loop);
         }
         outputs
-    }
-
-    /// Simulates the replay power sequence under per-replay loss variation
-    /// from a [`FaultInjector`](crate::faults::FaultInjector): each trip
-    /// through the delay line multiplies the circulating power by the
-    /// injector's loss factor for `(generation, replay)`. With a
-    /// transparent injector this equals
-    /// [`FeedbackBuffer::simulate_replays`] exactly.
-    pub fn replay_powers_with_loss_variation(
-        &self,
-        injector: &crate::faults::FaultInjector,
-        generation: u64,
-    ) -> Vec<f64> {
-        let junction =
-            YJunction::with_split_ratio(self.alpha).expect("alpha validated at construction");
-        let mut outputs = Vec::with_capacity(self.reuses as usize + 1);
-        let mut circulating = 1.0;
-        for replay in 0..=self.reuses {
-            let (to_jtc, to_loop) = junction.split_power(circulating);
-            outputs.push(to_jtc);
-            circulating = self.delay_line.propagate_power(to_loop)
-                * injector.buffer_loss_factor(generation, replay);
-        }
-        outputs
-    }
-
-    /// Worst-case relative error the scheduler's *static* weight rescale
-    /// factors commit when the actual per-replay retention varies per the
-    /// fault model: `max_i |X̃_i · ρ^{-i} / X_0 − 1|`. Zero for a
-    /// transparent injector.
-    pub fn rescale_error_with_loss_variation(
-        &self,
-        injector: &crate::faults::FaultInjector,
-        generation: u64,
-    ) -> f64 {
-        let actual = self.replay_powers_with_loss_variation(injector, generation);
-        let factors = self.weight_rescale_factors();
-        let x0 = actual[0];
-        actual
-            .iter()
-            .zip(&factors)
-            .map(|(x, f)| (x * f / x0 - 1.0).abs())
-            .fold(0.0, f64::max)
-    }
-
-    /// Failure injection: streams a sequence of generated field amplitudes
-    /// through the buffer with a *leaky* switch MRR and returns the
-    /// amplitude sequence the JTC actually receives.
-    ///
-    /// §4.1.1 explains why the switch exists: "when a new input signal is
-    /// generated ..., the reuse signal should be blocked to avoid
-    /// corruption of the final input". With off-state power leakage
-    /// `leakage > 0`, a ghost of the previous signal rides along with each
-    /// new generation; with `leakage = 0` the stream matches
-    /// [`FeedbackBuffer::simulate_replays`] scaling exactly.
-    ///
-    /// Each element of `generated` is the amplitude of a fresh signal; it
-    /// is used once and replayed [`FeedbackBuffer::reuses`] times, so the
-    /// output has `generated.len() * (R + 1)` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= leakage < 1`.
-    pub fn simulate_stream_with_leaky_switch(&self, generated: &[f64], leakage: f64) -> Vec<f64> {
-        assert!(
-            (0.0..1.0).contains(&leakage),
-            "leakage must be in [0,1), got {leakage}"
-        );
-        let junction =
-            YJunction::with_split_ratio(self.alpha).expect("alpha validated at construction");
-        let switch = Mrr::new().with_off_leakage(leakage);
-        let mut out = Vec::with_capacity(generated.len() * (self.reuses as usize + 1));
-        // Amplitude waiting at the end of the delay line.
-        let mut delayed = 0.0;
-        for &g in generated {
-            for replay in 0..=self.reuses {
-                // Switch is OFF on generation cycles (replay 0): only
-                // leakage passes. It is ON during replays: the delayed
-                // signal couples through, and the input MRR is off.
-                let feedback = switch.switch(delayed, replay > 0);
-                let fresh = if replay == 0 { g } else { 0.0 };
-                let at_junction = fresh + feedback;
-                let (to_jtc, to_loop) = junction.split_amplitude(at_junction);
-                out.push(to_jtc);
-                delayed = self.delay_line.propagate_amplitude(to_loop);
-            }
-        }
-        out
-    }
-
-    /// RMS corruption a leaky switch introduces relative to an ideal
-    /// switch, for a seedless deterministic alternating test stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= leakage < 1`.
-    pub fn switch_leakage_corruption(&self, leakage: f64) -> f64 {
-        let stream: Vec<f64> = (0..16).map(|i| 1.0 + 0.5 * ((i % 3) as f64)).collect();
-        let ideal = self.simulate_stream_with_leaky_switch(&stream, 0.0);
-        let leaky = self.simulate_stream_with_leaky_switch(&stream, leakage);
-        let signal: f64 = ideal.iter().map(|v| v * v).sum();
-        let noise: f64 = ideal
-            .iter()
-            .zip(&leaky)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum();
-        (noise / signal).sqrt()
     }
 }
 
@@ -544,92 +437,6 @@ mod tests {
         let half = FeedbackBuffer::new(0.5, 15, 16, CLOCK).unwrap();
         assert!(opt.relative_laser_power() < 5.0);
         assert!(half.relative_laser_power() > 1e3);
-    }
-
-    #[test]
-    fn ideal_switch_stream_matches_replay_powers() {
-        let buf = FeedbackBuffer::with_optimal_split(3, 2, CLOCK).unwrap();
-        let stream = buf.simulate_stream_with_leaky_switch(&[1.0], 0.0);
-        let replays = buf.simulate_replays();
-        assert_eq!(stream.len(), replays.len());
-        for (amp, power) in stream.iter().zip(&replays) {
-            // Amplitudes squared are the replay powers.
-            assert!((amp * amp - power).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn leaky_switch_corrupts_generations() {
-        let buf = FeedbackBuffer::with_optimal_split(3, 2, CLOCK).unwrap();
-        // Two generations: with leakage, the second generation's cycle
-        // carries a ghost of the first signal.
-        let ideal = buf.simulate_stream_with_leaky_switch(&[1.0, 1.0], 0.0);
-        let leaky = buf.simulate_stream_with_leaky_switch(&[1.0, 1.0], 0.04);
-        let gen2 = 4; // first cycle of the second generation
-        assert!(
-            (ideal[gen2] - ideal[0]).abs() < 1e-12,
-            "identical generations"
-        );
-        assert!(leaky[gen2] > ideal[gen2], "ghost adds optical power");
-    }
-
-    #[test]
-    fn corruption_grows_with_leakage() {
-        let buf = FeedbackBuffer::refocus_fb();
-        let mut prev = 0.0;
-        for leakage in [0.0, 1e-4, 1e-3, 1e-2, 0.1] {
-            let c = buf.switch_leakage_corruption(leakage);
-            assert!(c >= prev, "leakage {leakage}: {c} < {prev}");
-            prev = c;
-        }
-        assert_eq!(buf.switch_leakage_corruption(0.0), 0.0);
-    }
-
-    #[test]
-    fn switch_extinction_spec_for_8bit_precision() {
-        // A concrete spec this model yields: a single 20-30 dB ring is NOT
-        // enough for 8-bit precision, but a 50 dB switch (e.g. cascaded
-        // rings) keeps the stream's RMS corruption under half an LSB.
-        let buf = FeedbackBuffer::refocus_fb();
-        let half_lsb = 0.5 / 255.0;
-        assert!(
-            buf.switch_leakage_corruption(1e-3) > half_lsb,
-            "30 dB passes?!"
-        );
-        assert!(
-            buf.switch_leakage_corruption(1e-5) < half_lsb,
-            "corruption at 50 dB = {}",
-            buf.switch_leakage_corruption(1e-5)
-        );
-    }
-
-    #[test]
-    fn loss_variation_transparent_matches_simulate_replays() {
-        use crate::faults::{FaultInjector, FaultSpec};
-        let buf = FeedbackBuffer::refocus_fb();
-        let inj = FaultInjector::new(FaultSpec::none(), 3);
-        let varied = buf.replay_powers_with_loss_variation(&inj, 0);
-        let nominal = buf.simulate_replays();
-        assert_eq!(varied.len(), nominal.len());
-        for (v, n) in varied.iter().zip(&nominal) {
-            assert!((v - n).abs() < 1e-15);
-        }
-        // Not bit-exact zero: powi(-i) vs the multiplicative loop differ
-        // by accumulated rounding.
-        assert!(buf.rescale_error_with_loss_variation(&inj, 0) < 1e-12);
-    }
-
-    #[test]
-    fn loss_variation_perturbs_replays_and_rescale_error_grows() {
-        use crate::faults::{FaultInjector, FaultSpec};
-        let buf = FeedbackBuffer::refocus_fb();
-        let small = FaultInjector::new(FaultSpec::none().with_buffer_loss_sigma(0.005), 3);
-        let large = FaultInjector::new(FaultSpec::none().with_buffer_loss_sigma(0.02), 3);
-        let e_small = buf.rescale_error_with_loss_variation(&small, 0);
-        let e_large = buf.rescale_error_with_loss_variation(&large, 0);
-        assert!(e_small > 0.0);
-        // Same seed ⇒ same normal draws scaled by sigma ⇒ larger error.
-        assert!(e_large > e_small);
     }
 
     #[test]

@@ -103,12 +103,6 @@ impl DelayLine {
         self.loss().transmission()
     }
 
-    /// Propagates a field amplitude through the line: attenuated by the
-    /// loss (amplitude scales as sqrt of power transmission).
-    pub fn propagate_amplitude(&self, amplitude: f64) -> f64 {
-        amplitude * self.transmission().sqrt()
-    }
-
     /// Propagates an optical *power* through the line.
     pub fn propagate_power(&self, power: f64) -> f64 {
         power * self.transmission()
@@ -151,14 +145,6 @@ mod tests {
         let dl = DelayLine::for_cycles(1, CLOCK);
         let t = dl.transmission();
         assert!(t > 0.998 && t < 1.0, "t = {t}");
-    }
-
-    #[test]
-    fn amplitude_consistent_with_power() {
-        let dl = DelayLine::for_cycles(32, CLOCK);
-        let p = dl.propagate_power(1.0);
-        let a = dl.propagate_amplitude(1.0);
-        assert!((a * a - p).abs() < 1e-12);
     }
 
     #[test]

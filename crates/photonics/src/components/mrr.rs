@@ -28,9 +28,6 @@ pub struct Mrr {
     /// Resonance wavelength in nanometres (used by the WDM model to decide
     /// which channel this ring addresses).
     wavelength_nm: f64,
-    /// Extinction ratio of the off state: fraction of power that leaks
-    /// through when the ring is switched off. An ideal switch has 0.
-    off_leakage: f64,
 }
 
 impl Mrr {
@@ -47,7 +44,6 @@ impl Mrr {
             power: Self::DEFAULT_POWER,
             area: Self::DEFAULT_AREA,
             wavelength_nm: Self::DEFAULT_WAVELENGTH_NM,
-            off_leakage: 0.0,
         }
     }
 
@@ -57,20 +53,6 @@ impl Mrr {
             wavelength_nm,
             ..Self::new()
         }
-    }
-
-    /// Sets the off-state leakage fraction (non-ideal switch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leakage` is not in `[0, 1)`.
-    pub fn with_off_leakage(mut self, leakage: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&leakage),
-            "off leakage must be in [0,1), got {leakage}"
-        );
-        self.off_leakage = leakage;
-        self
     }
 
     /// Power drawn while actively modulating.
@@ -100,19 +82,6 @@ impl Mrr {
             "modulation level must be in [0,1], got {level}"
         );
         carrier_amplitude * level
-    }
-
-    /// Passes a signal through the ring used as a switch.
-    ///
-    /// When `on`, the signal couples through unchanged; when off, only the
-    /// configured leakage fraction of *power* leaks (amplitude scales by
-    /// `sqrt(leakage)`).
-    pub fn switch(&self, amplitude: f64, on: bool) -> f64 {
-        if on {
-            amplitude
-        } else {
-            amplitude * self.off_leakage.sqrt()
-        }
     }
 }
 
@@ -145,21 +114,6 @@ mod tests {
     #[should_panic(expected = "modulation level must be in [0,1]")]
     fn modulation_rejects_out_of_range() {
         Mrr::new().modulate(1.0, 1.5);
-    }
-
-    #[test]
-    fn ideal_switch_blocks_fully() {
-        let m = Mrr::new();
-        assert_eq!(m.switch(1.0, true), 1.0);
-        assert_eq!(m.switch(1.0, false), 0.0);
-    }
-
-    #[test]
-    fn leaky_switch_passes_fraction() {
-        let m = Mrr::new().with_off_leakage(0.01);
-        let out = m.switch(1.0, false);
-        // 1% power leakage = 10% amplitude leakage.
-        assert!((out - 0.1).abs() < 1e-12);
     }
 
     #[test]

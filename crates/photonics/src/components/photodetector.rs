@@ -71,12 +71,6 @@ impl Photodetector {
         self.responsivity * field.norm_sqr()
     }
 
-    /// Detects the incoherent sum of several wavelength channels landing on
-    /// this detector (WDM accumulation): intensities add.
-    pub fn detect_wdm(&self, fields: &[crate::complex::Complex64]) -> f64 {
-        fields.iter().map(|f| self.detect(*f)).sum()
-    }
-
     /// Temporally accumulates a sequence of per-cycle intensities before a
     /// single readout (temporal accumulation, §4.1.4).
     pub fn accumulate(&self, intensities: &[f64]) -> f64 {
@@ -118,13 +112,6 @@ mod tests {
         let a = pd.detect(Complex64::from_polar(1.5, 0.0));
         let b = pd.detect(Complex64::from_polar(1.5, 2.9));
         assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wdm_channels_add_incoherently() {
-        let pd = Photodetector::new();
-        let ch = [Complex64::new(1.0, 0.0), Complex64::new(0.0, 2.0)];
-        assert!((pd.detect_wdm(&ch) - 5.0).abs() < 1e-12);
     }
 
     #[test]

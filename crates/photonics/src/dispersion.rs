@@ -5,15 +5,9 @@
 //! *rescaled* in space. The paper's simulations bound the usable channel
 //! count at "less than 4" because the spread of the channels' outputs
 //! becomes too large for a single detector; this module makes that bound
-//! quantitative:
-//!
-//! * [`resample_dispersed`] — what one channel's output looks like after a
-//!   relative spatial scale error `delta` (linear-interpolation resampling,
-//!   the sub-sample walk-off model);
-//! * [`accumulate_dispersed`] — detector-summed channels, each with its own
-//!   walk-off;
-//! * [`max_walkoff_samples`] / [`max_feasible_wavelengths`] — the design
-//!   rule that reproduces the paper's `N_λ < 4` limit.
+//! quantitative: [`max_walkoff_samples`] / [`max_feasible_wavelengths`]
+//! are the design rule that reproduces the paper's `N_λ < 4` limit, and
+//! [`walkoff_table`] tabulates it for reporting.
 
 use serde::{Deserialize, Serialize};
 
@@ -26,70 +20,6 @@ pub const DEFAULT_CHANNEL_DELTA: f64 = 8.0e-4;
 /// pitches: beyond half a pitch, a channel's sample leaks into the
 /// neighbouring photodetector.
 pub const MAX_WALKOFF_SAMPLES: f64 = 0.5;
-
-/// Resamples `signal` at positions `x · (1 + delta)` with linear
-/// interpolation — channel walk-off by relative scale error `delta`.
-/// Positions past the end read zero.
-pub fn resample_dispersed(signal: &[f64], delta: f64) -> Vec<f64> {
-    let n = signal.len();
-    (0..n)
-        .map(|x| {
-            let pos = x as f64 * (1.0 + delta);
-            let lo = pos.floor();
-            let frac = pos - lo;
-            let lo = lo as isize;
-            let sample = |i: isize| -> f64 {
-                if i < 0 || i as usize >= n {
-                    0.0
-                } else {
-                    signal[i as usize]
-                }
-            };
-            sample(lo) * (1.0 - frac) + sample(lo + 1) * frac
-        })
-        .collect()
-}
-
-/// Sums `channels` at a shared photodetector where channel `i` walks off
-/// by `i · delta_per_channel`.
-///
-/// # Panics
-///
-/// Panics if channels differ in length or none are given.
-pub fn accumulate_dispersed(channels: &[Vec<f64>], delta_per_channel: f64) -> Vec<f64> {
-    assert!(!channels.is_empty(), "need at least one channel");
-    let n = channels[0].len();
-    assert!(
-        channels.iter().all(|c| c.len() == n),
-        "channels must share a length"
-    );
-    let mut acc = vec![0.0; n];
-    for (i, ch) in channels.iter().enumerate() {
-        let walked = resample_dispersed(ch, i as f64 * delta_per_channel);
-        for (a, v) in acc.iter_mut().zip(&walked) {
-            *a += v;
-        }
-    }
-    acc
-}
-
-/// RMS error (relative to the ideal sum's RMS) that dispersion introduces.
-///
-/// # Panics
-///
-/// Panics on empty/ragged channels or an all-zero ideal sum.
-pub fn dispersion_error(channels: &[Vec<f64>], delta_per_channel: f64) -> f64 {
-    let ideal = accumulate_dispersed(channels, 0.0);
-    let real = accumulate_dispersed(channels, delta_per_channel);
-    let signal: f64 = ideal.iter().map(|v| v * v).sum();
-    assert!(signal > 0.0, "ideal sum must be non-zero");
-    let noise: f64 = ideal
-        .iter()
-        .zip(&real)
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum();
-    (noise / signal).sqrt()
-}
 
 /// Worst-case walk-off (in samples) of the `n`-th channel set on a plane of
 /// `plane_size` detectors.
@@ -139,55 +69,6 @@ pub fn walkoff_table(max: usize, plane_size: usize, delta: f64) -> Vec<WalkoffRo
 mod tests {
     use super::*;
 
-    fn test_signal(n: usize, seed: u64) -> Vec<f64> {
-        (0..n)
-            .map(|i| ((i as f64 * 0.37 + seed as f64).sin() + 1.2).abs())
-            .collect()
-    }
-
-    #[test]
-    fn zero_delta_is_identity() {
-        let s = test_signal(64, 1);
-        let r = resample_dispersed(&s, 0.0);
-        for (a, b) in r.iter().zip(&s) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn walkoff_grows_along_the_plane() {
-        // Early samples barely move; late samples move ~n*delta.
-        let s = test_signal(256, 2);
-        let r = resample_dispersed(&s, 1e-3);
-        let early: f64 = (0..16).map(|i| (r[i] - s[i]).abs()).sum();
-        let late: f64 = (200..216).map(|i| (r[i] - s[i]).abs()).sum();
-        assert!(late > early, "late {late} vs early {early}");
-    }
-
-    #[test]
-    fn error_grows_with_channel_count() {
-        // The *relative* RMS can wobble slightly between adjacent counts
-        // (the ideal sum also grows), but the trend must be strongly
-        // increasing and a lone channel is error-free.
-        let channels: Vec<Vec<f64>> = (0..6).map(|i| test_signal(256, i)).collect();
-        let err1 = dispersion_error(&channels[..1], DEFAULT_CHANNEL_DELTA);
-        let err2 = dispersion_error(&channels[..2], DEFAULT_CHANNEL_DELTA);
-        let err4 = dispersion_error(&channels[..4], DEFAULT_CHANNEL_DELTA);
-        let err6 = dispersion_error(&channels[..6], DEFAULT_CHANNEL_DELTA);
-        assert_eq!(err1, 0.0);
-        assert!(err2 > 0.0);
-        assert!(err4 > err2, "err4 {err4} vs err2 {err2}");
-        assert!(err6 > err2, "err6 {err6} vs err2 {err2}");
-    }
-
-    #[test]
-    fn error_monotone_in_delta() {
-        let channels: Vec<Vec<f64>> = (0..3).map(|i| test_signal(128, i)).collect();
-        let small = dispersion_error(&channels, 1e-4);
-        let large = dispersion_error(&channels, 1e-2);
-        assert!(large > small);
-    }
-
     #[test]
     fn paper_limit_reproduced() {
         // §4.2.3: "the number of wavelengths should be less than 4" for a
@@ -218,11 +99,5 @@ mod tests {
         let small = max_feasible_wavelengths(64, DEFAULT_CHANNEL_DELTA);
         let large = max_feasible_wavelengths(1024, DEFAULT_CHANNEL_DELTA);
         assert!(small > large);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one channel")]
-    fn empty_accumulation_rejected() {
-        let _ = accumulate_dispersed(&[], 0.0);
     }
 }

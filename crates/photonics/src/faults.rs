@@ -3,11 +3,10 @@
 //! The paper's noise treatment (§7.2) assumes every device works; real
 //! photonic accelerators also suffer *structural* imperfections that a
 //! well-behaved Gaussian cannot represent: MRR weight taps stuck by
-//! trimming errors, dead photodetector pixels, slow laser power drift,
-//! per-replay loss variation in the optical buffers, and thermal
-//! crosstalk between WDM channels. This module defines a declarative
-//! [`FaultSpec`] for those mechanisms and a seeded [`FaultInjector`]
-//! that applies them deterministically to the functional JTC path.
+//! trimming errors, dead photodetector pixels and slow laser power
+//! drift. This module defines a declarative [`FaultSpec`] for those
+//! mechanisms and a seeded [`FaultInjector`] that applies them
+//! deterministically to the functional JTC path.
 //!
 //! Design principles:
 //!
@@ -104,13 +103,6 @@ pub struct FaultSpec {
     /// Clamp on the cumulative relative laser drift (e.g. `0.1` bounds
     /// the excursion to ±10 %); models the laser's power-control loop.
     pub laser_drift_limit: f64,
-    /// Relative sigma of per-replay optical-buffer loss variation
-    /// (fabrication / thermal variation of the delay-line loss).
-    pub buffer_loss_sigma: f64,
-    /// Fraction of each WDM channel's power that couples into its
-    /// spectral neighbours (thermal crosstalk; split evenly between
-    /// adjacent channels).
-    pub crosstalk: f64,
 }
 
 impl Default for FaultSpec {
@@ -128,8 +120,6 @@ impl FaultSpec {
             dead_pixel_rate: 0.0,
             laser_drift_sigma: 0.0,
             laser_drift_limit: 0.0,
-            buffer_loss_sigma: 0.0,
-            crosstalk: 0.0,
         }
     }
 
@@ -154,18 +144,6 @@ impl FaultSpec {
         self
     }
 
-    /// Sets the per-replay buffer loss variation sigma.
-    pub fn with_buffer_loss_sigma(mut self, sigma: f64) -> Self {
-        self.buffer_loss_sigma = sigma;
-        self
-    }
-
-    /// Sets the WDM thermal crosstalk coupling.
-    pub fn with_crosstalk(mut self, coupling: f64) -> Self {
-        self.crosstalk = coupling;
-        self
-    }
-
     /// Checks every parameter is in its legal range.
     ///
     /// # Errors
@@ -175,7 +153,6 @@ impl FaultSpec {
         let rates = [
             ("stuck_weight_rate", self.stuck_weight_rate),
             ("dead_pixel_rate", self.dead_pixel_rate),
-            ("crosstalk", self.crosstalk),
             ("laser_drift_limit", self.laser_drift_limit),
         ];
         for (parameter, value) in rates {
@@ -186,7 +163,6 @@ impl FaultSpec {
         let sigmas = [
             ("stuck_weight_level", self.stuck_weight_level),
             ("laser_drift_sigma", self.laser_drift_sigma),
-            ("buffer_loss_sigma", self.buffer_loss_sigma),
         ];
         for (parameter, value) in sigmas {
             if value < 0.0 || !value.is_finite() {
@@ -201,14 +177,12 @@ impl FaultSpec {
         self.stuck_weight_rate == 0.0
             && self.dead_pixel_rate == 0.0
             && self.laser_drift_sigma == 0.0
-            && self.buffer_loss_sigma == 0.0
-            && self.crosstalk == 0.0
     }
 
-    /// Scales every fault *intensity* by `severity` (rates and coupling
-    /// clamp at 1.0; the stuck level and drift limit are structural and
-    /// stay fixed). `scaled(0.0)` is fault-free; fault sites at lower
-    /// severities are subsets of those at higher severities.
+    /// Scales every fault *intensity* by `severity` (rates clamp at 1.0;
+    /// the stuck level and drift limit are structural and stay fixed).
+    /// `scaled(0.0)` is fault-free; fault sites at lower severities are
+    /// subsets of those at higher severities.
     pub fn scaled(&self, severity: f64) -> Self {
         assert!(
             severity >= 0.0 && severity.is_finite(),
@@ -220,8 +194,6 @@ impl FaultSpec {
             dead_pixel_rate: (self.dead_pixel_rate * severity).min(1.0),
             laser_drift_sigma: self.laser_drift_sigma * severity,
             laser_drift_limit: self.laser_drift_limit,
-            buffer_loss_sigma: self.buffer_loss_sigma * severity,
-            crosstalk: (self.crosstalk * severity).min(1.0),
         }
     }
 
@@ -256,7 +228,6 @@ fn normal_hash(seed: u64, salt: u64, index: u64) -> f64 {
 const SALT_STUCK: u64 = 0x5354_5543_4b21;
 const SALT_PIXEL: u64 = 0x5049_5845_4c21;
 const SALT_DRIFT: u64 = 0x4452_4946_5421;
-const SALT_LOSS: u64 = 0x4c4f_5353_2121;
 
 /// Seeded applicator of a [`FaultSpec`] to the functional datapath.
 ///
@@ -266,9 +237,9 @@ const SALT_LOSS: u64 = 0x4c4f_5353_2121;
 ///
 /// # Parallel execution and work-item streams
 ///
-/// Fault *sites* (stuck taps, dead pixels, buffer loss draws) are pure
-/// functions of `(seed, site index)`, so they are identical no matter
-/// which thread evaluates them. The *sequential* state — the drift
+/// Fault *sites* (stuck taps, dead pixels) are pure functions of
+/// `(seed, site index)`, so they are identical no matter which thread
+/// evaluates them. The *sequential* state — the drift
 /// walk and composed noise stream — is order-dependent, so parallel
 /// fan-outs must not share one injector. Instead, the owning executor
 /// calls [`FaultInjector::reserve_epochs`] once per fan-out and derives
@@ -386,10 +357,9 @@ impl FaultInjector {
 
     /// Derives the injector for work item `item` of fan-out `epoch`.
     ///
-    /// The child shares `spec` and `seed` — so stuck-tap, dead-pixel and
-    /// buffer-loss *sites* are identical to the parent's — but walks its
-    /// own drift and noise streams, derived purely from
-    /// `(seed, epoch, item)`. Distinct `(epoch, item)` pairs get
+    /// The child shares `spec` and `seed` — so stuck-tap and dead-pixel
+    /// *sites* are identical to the parent's — but walks its own drift
+    /// and noise streams, derived purely from `(seed, epoch, item)`. Distinct `(epoch, item)` pairs get
     /// decorrelated streams; the same pair always gets the same stream.
     pub fn for_work_item(&self, epoch: u64, item: u64) -> FaultInjector {
         // splitmix64-style avalanche of (epoch, item) into a stream id.
@@ -472,52 +442,6 @@ impl FaultInjector {
         1.0 + self.drift
     }
 
-    /// Multiplicative retention perturbation for replay `replay` of
-    /// buffer generation `generation` (≥ 0, clamped so losses cannot
-    /// become gains beyond +3σ).
-    pub fn buffer_loss_factor(&self, generation: u64, replay: u32) -> f64 {
-        if self.spec.buffer_loss_sigma == 0.0 {
-            return 1.0;
-        }
-        let index = generation
-            .wrapping_mul(0x1_0000)
-            .wrapping_add(u64::from(replay));
-        let draw = normal_hash(self.seed, SALT_LOSS, index).clamp(-3.0, 3.0);
-        (1.0 + self.spec.buffer_loss_sigma * draw).max(0.0)
-    }
-
-    /// Mixes WDM channel signals with the spec's thermal crosstalk:
-    /// each channel keeps `1 - c` of its own power and receives an
-    /// even share of the `c` leaked by each spectral neighbour.
-    pub fn apply_crosstalk(&self, channels: &[(Vec<f64>, Vec<f64>)]) -> Vec<(Vec<f64>, Vec<f64>)> {
-        let c = self.spec.crosstalk;
-        if c == 0.0 || channels.len() < 2 {
-            return channels.to_vec();
-        }
-        let n = channels.len();
-        channels
-            .iter()
-            .enumerate()
-            .map(|(i, (signal, kernel))| {
-                let mut mixed = signal.iter().map(|v| v * (1.0 - c)).collect::<Vec<f64>>();
-                let neighbours: Vec<usize> = [i.checked_sub(1), (i + 1 < n).then_some(i + 1)]
-                    .into_iter()
-                    .flatten()
-                    .collect();
-                let share = c / neighbours.len() as f64;
-                for j in neighbours {
-                    let (other, _) = &channels[j];
-                    for (m, v) in mixed.iter_mut().zip(other.iter()) {
-                        // Channels may carry different signal lengths in
-                        // principle; couple over the overlap.
-                        *m += share * v;
-                    }
-                }
-                (mixed, kernel.clone())
-            })
-            .collect()
-    }
-
     /// Applies the composed analog noise (if any) to a detected output
     /// in place.
     pub fn apply_noise(&mut self, detected: &mut [f64]) {
@@ -551,11 +475,11 @@ mod tests {
                 ..
             })
         ));
-        let spec = FaultSpec::none().with_buffer_loss_sigma(-0.1);
+        let spec = FaultSpec::none().with_laser_drift(-0.1, 0.1);
         assert!(matches!(
             spec.validate(),
             Err(FaultSpecError::InvalidSigma {
-                parameter: "buffer_loss_sigma",
+                parameter: "laser_drift_sigma",
                 ..
             })
         ));
@@ -564,7 +488,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid fault spec")]
     fn injector_panics_on_invalid_spec() {
-        let _ = FaultInjector::new(FaultSpec::none().with_crosstalk(2.0), 1);
+        let _ = FaultInjector::new(FaultSpec::none().with_dead_pixel_rate(2.0), 1);
     }
 
     #[test]
@@ -647,55 +571,16 @@ mod tests {
     }
 
     #[test]
-    fn buffer_loss_factor_is_deterministic_and_bounded() {
-        let inj = FaultInjector::new(FaultSpec::none().with_buffer_loss_sigma(0.05), 21);
-        for generation in 0..4 {
-            for replay in 0..16 {
-                let a = inj.buffer_loss_factor(generation, replay);
-                let b = inj.buffer_loss_factor(generation, replay);
-                assert_eq!(a, b);
-                assert!((0.85..=1.15).contains(&a), "factor {a}");
-            }
-        }
-    }
-
-    #[test]
-    fn crosstalk_conserves_power_for_uniform_channels() {
-        let inj = FaultInjector::new(FaultSpec::none().with_crosstalk(0.1), 2);
-        let ch = vec![(vec![1.0, 1.0], vec![1.0]), (vec![1.0, 1.0], vec![1.0])];
-        let mixed = inj.apply_crosstalk(&ch);
-        // Two identical channels: leakage in == leakage out.
-        for (signal, _) in &mixed {
-            for v in signal {
-                assert!((v - 1.0).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn crosstalk_mixes_distinct_channels() {
-        let inj = FaultInjector::new(FaultSpec::none().with_crosstalk(0.2), 2);
-        let ch = vec![(vec![1.0, 0.0], vec![1.0]), (vec![0.0, 1.0], vec![1.0])];
-        let mixed = inj.apply_crosstalk(&ch);
-        assert!((mixed[0].0[0] - 0.8).abs() < 1e-12);
-        assert!((mixed[0].0[1] - 0.2).abs() < 1e-12);
-        assert!((mixed[1].0[0] - 0.2).abs() < 1e-12);
-        assert!((mixed[1].0[1] - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
     fn scaled_zero_is_fault_free_and_scaling_is_monotone() {
         let base = FaultSpec::none()
             .with_stuck_weights(0.05, 0.5)
             .with_dead_pixel_rate(0.05)
-            .with_laser_drift(0.001, 0.1)
-            .with_buffer_loss_sigma(0.01)
-            .with_crosstalk(0.02);
+            .with_laser_drift(0.001, 0.1);
         assert!(base.scaled(0.0).is_fault_free());
         let lo = base.scaled(1.0);
         let hi = base.scaled(4.0);
         assert!(hi.dead_pixel_rate > lo.dead_pixel_rate);
-        assert!(hi.crosstalk > lo.crosstalk);
+        assert!(hi.laser_drift_sigma > lo.laser_drift_sigma);
         assert_eq!(hi.stuck_weight_level, lo.stuck_weight_level);
         // Rates clamp at 1.
         assert_eq!(base.scaled(1000.0).dead_pixel_rate, 1.0);

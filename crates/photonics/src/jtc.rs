@@ -38,7 +38,7 @@
 use crate::complex::Complex64;
 use crate::components::nonlinear::NonlinearResponse;
 use crate::components::{Adc, Dac, NonlinearMaterial};
-use crate::fft::{ifft, ifft_real, rfft};
+use crate::fft::{ifft_real, rfft};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
@@ -415,30 +415,6 @@ impl Jtc {
         let plane = ifft_real(&intensity);
         Ok((plane.into_iter().map(|v| v.re.max(0.0)).collect(), g.sep))
     }
-
-    /// Runs the same pipeline but **without** the Fourier-plane
-    /// nonlinearity, demonstrating that the nonlinearity is what creates the
-    /// convolution (§2.1): lens → lens alone reproduces the input plane.
-    ///
-    /// Returns the output-plane field magnitudes at the positions where the
-    /// original signal was placed.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Jtc::correlate`].
-    pub fn pass_without_nonlinearity(
-        &self,
-        signal: &[f64],
-        kernel: &[f64],
-    ) -> Result<Vec<f64>, JtcError> {
-        let g = self.plane_geometry(signal.len(), kernel.len())?;
-        let mut plane = rfft(&g.compose(signal, kernel));
-        ifft(&mut plane);
-        Ok(plane[g.sep..g.sep + g.signal_len]
-            .iter()
-            .map(|v| v.norm())
-            .collect())
-    }
 }
 
 /// Rejects negative samples: a JTC operand is an optical power.
@@ -685,16 +661,6 @@ mod tests {
         let want = correlate_valid(&s, &k);
         assert_eq!(out.valid().len(), want.len());
         assert!(max_abs_diff(out.valid(), &want) < 1e-9);
-    }
-
-    #[test]
-    fn without_nonlinearity_output_equals_input() {
-        // §2.1: "the output would be identical to the input without it".
-        let jtc = Jtc::ideal();
-        let s = pseudo_random(12, 5);
-        let k = pseudo_random(4, 6);
-        let through = jtc.pass_without_nonlinearity(&s, &k).unwrap();
-        assert!(max_abs_diff(&through, &s) < 1e-9);
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //!   detector-level channel accumulation.
 //! * [`noise`] — seeded shot/thermal/relative noise injection (§7.2).
 //! * [`faults`] — structural device-fault models (stuck MRR taps, dead
-//!   detector pixels, laser drift, buffer loss variation, WDM crosstalk)
-//!   composing with [`noise`].
+//!   detector pixels, laser drift) composing with [`noise`].
 //! * [`units`] — physical-unit newtypes (watts, mm², dB, …) used across the
 //!   workspace.
 //!
@@ -46,7 +45,6 @@ pub mod components;
 pub mod dispersion;
 pub mod faults;
 pub mod fft;
-pub mod four_f;
 pub mod jtc;
 pub mod noise;
 pub mod signal;

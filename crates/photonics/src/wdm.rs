@@ -196,56 +196,6 @@ impl WdmBus {
         Ok(acc.expect("at least one wavelength guaranteed by constructor"))
     }
 
-    /// Runs one accumulating pass under a device-fault model.
-    ///
-    /// The injector's thermal crosstalk first mixes a fraction of each
-    /// channel's signal into its spectral neighbours; every channel then
-    /// runs [`Jtc::correlate_with_faults`] (stuck taps, laser drift,
-    /// dead pixels, analog noise) before the shared detector sums the
-    /// valid windows. With a transparent injector this equals
-    /// [`WdmBus::correlate_accumulate`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`WdmBus::correlate_accumulate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if channels produce differently sized valid windows.
-    pub fn correlate_accumulate_faulted(
-        &self,
-        jtc: &Jtc,
-        channels: &[(Vec<f64>, Vec<f64>)],
-        injector: &mut crate::faults::FaultInjector,
-    ) -> Result<Vec<f64>, WdmError> {
-        if channels.len() != self.wavelengths {
-            return Err(WdmError::ChannelCountMismatch {
-                expected: self.wavelengths,
-                got: channels.len(),
-            });
-        }
-        let mixed = injector.apply_crosstalk(channels);
-        let mut acc: Option<Vec<f64>> = None;
-        for (signal, kernel) in &mixed {
-            let out = jtc.correlate_with_faults(signal, kernel, injector)?;
-            let valid = out.valid();
-            match &mut acc {
-                None => acc = Some(valid.to_vec()),
-                Some(sum) => {
-                    assert_eq!(
-                        sum.len(),
-                        valid.len(),
-                        "WDM channels must produce equal-sized outputs"
-                    );
-                    for (s, v) in sum.iter_mut().zip(valid) {
-                        *s += v;
-                    }
-                }
-            }
-        }
-        Ok(acc.expect("at least one wavelength guaranteed by constructor"))
-    }
-
     /// Throughput multiplier WDM provides: one pass computes `N_λ` channel
     /// convolutions.
     pub fn throughput_factor(&self) -> f64 {
@@ -328,61 +278,6 @@ mod tests {
             bus.correlate_accumulate(&jtc, &bad),
             Err(WdmError::Jtc(_))
         ));
-    }
-
-    #[test]
-    fn faulted_accumulate_transparent_matches_clean() {
-        use crate::faults::{FaultInjector, FaultSpec};
-        let bus = WdmBus::refocus();
-        let jtc = Jtc::ideal();
-        let ch = vec![
-            (vec![1.0, 2.0, 3.0, 4.0], vec![1.0, 1.0]),
-            (vec![0.5, 0.5, 0.5, 0.5], vec![2.0, 0.0]),
-        ];
-        let mut inj = FaultInjector::new(FaultSpec::none(), 11);
-        let clean = bus.correlate_accumulate(&jtc, &ch).unwrap();
-        let faulted = bus
-            .correlate_accumulate_faulted(&jtc, &ch, &mut inj)
-            .unwrap();
-        assert_eq!(clean, faulted);
-    }
-
-    #[test]
-    fn crosstalk_changes_accumulated_output() {
-        use crate::faults::{FaultInjector, FaultSpec};
-        let bus = WdmBus::refocus();
-        let jtc = Jtc::ideal();
-        // Distinct channels so leakage is visible at the detector.
-        let ch = vec![
-            (vec![1.0, 0.0, 0.0, 0.0], vec![1.0, 0.0]),
-            (vec![0.0, 0.0, 0.0, 1.0], vec![0.0, 1.0]),
-        ];
-        let mut inj = FaultInjector::new(FaultSpec::none().with_crosstalk(0.2), 11);
-        let clean = bus.correlate_accumulate(&jtc, &ch).unwrap();
-        let faulted = bus
-            .correlate_accumulate_faulted(&jtc, &ch, &mut inj)
-            .unwrap();
-        let moved = clean
-            .iter()
-            .zip(&faulted)
-            .any(|(a, b)| (a - b).abs() > 1e-9);
-        assert!(moved, "crosstalk had no observable effect");
-    }
-
-    #[test]
-    fn faulted_accumulate_channel_count_checked() {
-        use crate::faults::{FaultInjector, FaultSpec};
-        let bus = WdmBus::refocus();
-        let jtc = Jtc::ideal();
-        let mut inj = FaultInjector::new(FaultSpec::none(), 0);
-        let one = vec![(vec![1.0, 2.0], vec![1.0])];
-        assert_eq!(
-            bus.correlate_accumulate_faulted(&jtc, &one, &mut inj),
-            Err(WdmError::ChannelCountMismatch {
-                expected: 2,
-                got: 1
-            })
-        );
     }
 
     #[test]

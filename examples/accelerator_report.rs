@@ -10,9 +10,9 @@ use refocus::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let suite = models::evaluation_suite();
     let systems = [
-        ("baseline", Accelerator::photofourier_baseline()),
-        ("ReFOCUS-FF", Accelerator::refocus_ff()),
-        ("ReFOCUS-FB", Accelerator::refocus_fb()),
+        ("baseline", AcceleratorConfig::photofourier_baseline()),
+        ("ReFOCUS-FF", AcceleratorConfig::refocus_ff()),
+        ("ReFOCUS-FB", AcceleratorConfig::refocus_fb()),
     ];
 
     println!(
@@ -20,8 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "system", "network", "FPS", "W", "FPS/W", "FPS/mm^2"
     );
     let mut summaries = Vec::new();
-    for (name, acc) in &systems {
-        let s = acc.run_suite(&suite)?;
+    for (name, config) in &systems {
+        let s = simulate_suite(&suite, config)?;
         for r in &s.reports {
             println!(
                 "{:<12} {:<10} {:>10.0} {:>8.2} {:>9.0} {:>10.1}",

@@ -5,25 +5,19 @@
 //! cargo run --release --example fault_study
 //! ```
 
-use refocus::arch::campaign::FaultCampaign;
 use refocus::arch::config::{AcceleratorConfig, OpticalBufferKind};
 use refocus::arch::error::SimError;
 use refocus::arch::simulator::simulate;
+use refocus::experiments::fault_study::{base_spec, campaign};
 use refocus::nn::models;
-use refocus::photonics::faults::FaultSpec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Sweep fault severity on the functional conv path. ---
-    // Base spec: 1% stuck MRR weight taps, 1% dead detector pixels,
-    // laser power drifting 0.2% per pass (clamped to +/-5%).
-    let spec = FaultSpec::none()
-        .with_stuck_weights(0.01, 0.0)
-        .with_dead_pixel_rate(0.01)
-        .with_laser_drift(0.002, 0.05);
-    let report = FaultCampaign::new(AcceleratorConfig::refocus_fb(), spec)
-        .with_severities(&[0.0, 0.5, 1.0, 2.0, 4.0])
-        .with_seeds(&[11, 12, 13])
-        .run()?;
+    // The `fault_study` experiment's campaign: 1% stuck MRR weight taps,
+    // 1% dead detector pixels, laser power drifting 0.2% per pass
+    // (clamped to +/-5%), swept over five severities and three seeds.
+    let spec = base_spec();
+    let report = campaign().run()?;
 
     println!(
         "fault campaign on {} (peak output {:.3}):",

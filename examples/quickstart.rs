@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- 2. Whole-accelerator simulation. ---
-    let report = Accelerator::refocus_fb().run(&models::resnet34())?;
+    let report = simulate(&models::resnet34(), &AcceleratorConfig::refocus_fb())?;
     println!(
         "\nReFOCUS-FB on {}: {:.0} FPS, {:.2} W, {:.1} mm^2 -> {:.0} FPS/W",
         report.network_name,

@@ -14,12 +14,12 @@
 //! * [`arch`] — the architecture simulator (perf/energy/area/DSE) and
 //!   baselines.
 //! * [`experiments`] — regenerates every table and figure of the paper.
-//! * [`Accelerator`] — the builder-style front door.
+//! * [`prelude`] — the handful of items most programs need.
 //!
 //! ```
 //! use refocus::prelude::*;
 //!
-//! let report = Accelerator::refocus_fb().run(&models::resnet34())?;
+//! let report = simulate(&models::resnet34(), &AcceleratorConfig::refocus_fb())?;
 //! println!(
 //!     "ReFOCUS-FB, ResNet-34: {:.0} FPS / {:.1} W",
 //!     report.metrics.fps, report.metrics.power_w
@@ -29,11 +29,18 @@
 
 #![warn(missing_docs)]
 
-pub use refocus_core::prelude;
-pub use refocus_core::Accelerator;
-
 pub use refocus_arch as arch;
 pub use refocus_experiments as experiments;
 pub use refocus_memsim as memsim;
 pub use refocus_nn as nn;
 pub use refocus_photonics as photonics;
+
+/// The items most programs need: the simulator entry points, the
+/// configuration, the reports, the workload zoo and the JTC.
+pub mod prelude {
+    pub use refocus_arch::config::{AcceleratorConfig, OpticalBufferKind};
+    pub use refocus_arch::simulator::{simulate, simulate_suite, Report, SuiteReport};
+    pub use refocus_nn::layer::{ConvSpec, Network};
+    pub use refocus_nn::models;
+    pub use refocus_photonics::jtc::Jtc;
+}

@@ -6,6 +6,7 @@ use refocus::arch::config::AcceleratorConfig;
 use refocus::arch::energy::EnergyModel;
 use refocus::arch::perf::NetworkPerf;
 use refocus::arch::rfcu::ComponentCounts;
+use refocus::arch::simulator::simulate;
 use refocus::memsim::sram::{Sram, KIB, MIB};
 use refocus::nn::models;
 use refocus::photonics::buffer::{FeedbackBuffer, FeedforwardBuffer};
@@ -164,9 +165,7 @@ fn dataflow_traffic_and_energy_model_agree() {
 
 #[test]
 fn report_serializes_to_json() {
-    let r = refocus::Accelerator::refocus_fb()
-        .run(&models::resnet18())
-        .unwrap();
+    let r = simulate(&models::resnet18(), &AcceleratorConfig::refocus_fb()).unwrap();
     let json = serde_json::to_string(&r).unwrap();
     assert!(json.contains("ResNet-18"));
     let back: refocus::arch::simulator::Report = serde_json::from_str(&json).unwrap();

@@ -2,8 +2,8 @@
 
 use refocus::prelude::*;
 
-fn suite_metrics(acc: &Accelerator) -> (f64, f64, f64) {
-    let s = acc.run_suite(&models::evaluation_suite()).unwrap();
+fn suite_metrics(config: &AcceleratorConfig) -> (f64, f64, f64) {
+    let s = simulate_suite(&models::evaluation_suite(), config).unwrap();
     (
         s.geomean_fps(),
         s.geomean_fps_per_watt(),
@@ -13,8 +13,8 @@ fn suite_metrics(acc: &Accelerator) -> (f64, f64, f64) {
 
 #[test]
 fn abstract_headline_2x_throughput() {
-    let (base_fps, _, _) = suite_metrics(&Accelerator::photofourier_baseline());
-    let (fb_fps, _, _) = suite_metrics(&Accelerator::refocus_fb());
+    let (base_fps, _, _) = suite_metrics(&AcceleratorConfig::photofourier_baseline());
+    let (fb_fps, _, _) = suite_metrics(&AcceleratorConfig::refocus_fb());
     let ratio = fb_fps / base_fps;
     assert!(
         (1.85..2.1).contains(&ratio),
@@ -24,8 +24,8 @@ fn abstract_headline_2x_throughput() {
 
 #[test]
 fn abstract_headline_energy_efficiency() {
-    let (_, base, _) = suite_metrics(&Accelerator::photofourier_baseline());
-    let (_, fb, _) = suite_metrics(&Accelerator::refocus_fb());
+    let (_, base, _) = suite_metrics(&AcceleratorConfig::photofourier_baseline());
+    let (_, fb, _) = suite_metrics(&AcceleratorConfig::refocus_fb());
     let ratio = fb / base;
     assert!(
         (1.7..3.4).contains(&ratio),
@@ -35,8 +35,8 @@ fn abstract_headline_energy_efficiency() {
 
 #[test]
 fn abstract_headline_area_efficiency() {
-    let (_, _, base) = suite_metrics(&Accelerator::photofourier_baseline());
-    let (_, _, fb) = suite_metrics(&Accelerator::refocus_fb());
+    let (_, _, base) = suite_metrics(&AcceleratorConfig::photofourier_baseline());
+    let (_, _, fb) = suite_metrics(&AcceleratorConfig::refocus_fb());
     let ratio = fb / base;
     assert!(
         (1.15..1.65).contains(&ratio),
@@ -46,14 +46,18 @@ fn abstract_headline_area_efficiency() {
 
 #[test]
 fn section_6_1_average_powers() {
-    let ff = Accelerator::refocus_ff()
-        .run_suite(&models::evaluation_suite())
-        .unwrap()
-        .mean_power_w();
-    let fb = Accelerator::refocus_fb()
-        .run_suite(&models::evaluation_suite())
-        .unwrap()
-        .mean_power_w();
+    let ff = simulate_suite(
+        &models::evaluation_suite(),
+        &AcceleratorConfig::refocus_ff(),
+    )
+    .unwrap()
+    .mean_power_w();
+    let fb = simulate_suite(
+        &models::evaluation_suite(),
+        &AcceleratorConfig::refocus_fb(),
+    )
+    .unwrap()
+    .mean_power_w();
     assert!((ff - 14.0).abs() < 3.5, "FF = {ff} W (paper 14.0)");
     assert!((fb - 10.8).abs() < 3.0, "FB = {fb} W (paper 10.8)");
     assert!(ff > fb, "FF must draw more than FB");
@@ -61,7 +65,7 @@ fn section_6_1_average_powers() {
 
 #[test]
 fn section_6_1_area_numbers() {
-    let r = Accelerator::refocus_fb().run(&models::resnet50()).unwrap();
+    let r = simulate(&models::resnet50(), &AcceleratorConfig::refocus_fb()).unwrap();
     assert!((r.area.total().value() - 171.1).abs() < 6.0);
     assert!((r.area.photonic().value() - 135.7).abs() < 2.0);
 }
@@ -70,7 +74,7 @@ fn section_6_1_area_numbers() {
 fn photonic_advantage_over_digital_accelerators() {
     // §6.3 / Fig. 12: 5.6x - 24.5x FPS/W over digital accelerators on
     // ResNet-50 (we assert the same order of magnitude).
-    let r = Accelerator::refocus_fb().run(&models::resnet50()).unwrap();
+    let r = simulate(&models::resnet50(), &AcceleratorConfig::refocus_fb()).unwrap();
     let ours = r.metrics.fps_per_watt();
     for acc in refocus::arch::baselines::fig12_accelerators() {
         let theirs = acc.on("ResNet-50").unwrap().fps_per_watt;
