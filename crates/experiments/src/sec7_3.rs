@@ -117,6 +117,54 @@ mod tests {
     use super::*;
 
     #[test]
+    fn study_is_bit_identical_to_parent() {
+        // Captured before the weight-sharing scan and the annealer moved to
+        // their blocked / swap-delta forms; any drift in either search
+        // changes at least one of these bits.
+        let s = compute();
+        let got = [
+            s.dram_share,
+            s.compression_ratio,
+            s.energy_reduction_with_sharing,
+            s.reorder_reduction,
+            s.system_power_reduction,
+        ]
+        .map(f64::to_bits);
+        let want = [
+            0x3fde_4d31_dc06_7865,
+            0x4010_d148_e03b_cbae,
+            0x3fd7_d996_8dbb_1968,
+            0x3fc8_7fcc_7372_c6f4,
+            0x3fb5_923a_c16b_d860,
+        ];
+        assert_eq!(got, want, "{s:?}");
+    }
+
+    #[test]
+    fn shared_weights_are_bit_identical_to_parent() {
+        // The `Study` fields see only the codebook size, not what k-means
+        // found, so pin the clustering itself: an FNV-1a hash of every
+        // assignment, scale and codebook value, captured the same way.
+        let weights = Tensor4::random(128, 128, 3, 3, -1.0, 1.0, 7);
+        let shared = SharedWeights::cluster(&weights, 256, 2, 11).expect("clusterable");
+        let shared = &shared;
+        let scales = (0..128).flat_map(|o| (0..128).map(move |i| shared.scale(o, i)));
+        let words = shared
+            .assignments()
+            .iter()
+            .flatten()
+            .map(|&a| a as u64)
+            .chain(scales.map(f64::to_bits))
+            .chain(shared.codebook().iter().flatten().map(|c| c.to_bits()));
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for byte in words.flat_map(u64::to_le_bytes) {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+        assert_eq!(hash, 0xefd2_0b6f_06f3_ce21);
+    }
+
+    #[test]
     fn dram_can_dominate() {
         let s = compute();
         assert!(s.dram_share > 0.3, "share = {}", s.dram_share);

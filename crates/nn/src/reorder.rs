@@ -134,29 +134,60 @@ pub fn anneal_channel_order(
     let identity: Vec<usize> = (0..channels).collect();
     let baseline_loads = dac_loads(assignments, &identity);
 
+    // `mismatch[c * channels + d]` counts the filters whose codebook entry
+    // differs between channels `c` and `d`, so an order costs
+    // `filters + Σ mismatch[order[p]][order[p + 1]]` loads and a swap of
+    // positions `a, b` changes only the pairs starting at `a - 1, a, b - 1, b`.
+    let mut mismatch = vec![0u64; channels * channels];
+    for c in 0..channels {
+        for d in 0..c {
+            let n = assignments.iter().filter(|f| f[c] != f[d]).count() as u64;
+            mismatch[c * channels + d] = n;
+            mismatch[d * channels + c] = n;
+        }
+    }
+    let touched_cost = |order: &[usize], pairs: &[usize]| -> u64 {
+        pairs
+            .iter()
+            .map(|&p| mismatch[order[p] * channels + order[p + 1]])
+            .sum()
+    };
+
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut order = identity.clone();
-    let mut cost = baseline_loads as f64;
+    let mut order = identity;
+    let mut cost = baseline_loads;
     let mut best_order = order.clone();
     let mut best_cost = cost;
     let mut temperature = schedule.initial_temperature;
 
     if channels > 1 {
+        let mut pairs = Vec::with_capacity(4);
         for _ in 0..schedule.steps {
             let a = rng.random_range(0..channels);
             let mut b = rng.random_range(0..channels);
             while b == a {
                 b = rng.random_range(0..channels);
             }
+            pairs.clear();
+            pairs.extend(
+                [a.wrapping_sub(1), a, b.wrapping_sub(1), b]
+                    .into_iter()
+                    .filter(|&p| p < channels - 1),
+            );
+            pairs.sort_unstable();
+            pairs.dedup();
+            let before = touched_cost(&order, &pairs);
             order.swap(a, b);
-            let new_cost = dac_loads(assignments, &order) as f64;
+            // Exact integer arithmetic: equals `dac_loads` of the new order.
+            let new_cost = cost - before + touched_cost(&order, &pairs);
             let accept = new_cost <= cost
-                || rng.random::<f64>() < ((cost - new_cost) / temperature.max(1e-12)).exp();
+                || rng.random::<f64>()
+                    < ((cost as f64 - new_cost as f64) / temperature.max(1e-12)).exp();
             if accept {
                 cost = new_cost;
                 if cost < best_cost {
                     best_cost = cost;
-                    best_order = order.clone();
+                    best_order.copy_from_slice(&order);
                 }
             } else {
                 order.swap(a, b); // revert
@@ -166,7 +197,7 @@ pub fn anneal_channel_order(
     }
 
     Ok(ReorderResult {
-        optimized_loads: best_cost as u64,
+        optimized_loads: best_cost,
         order: best_order,
         baseline_loads,
     })
@@ -210,6 +241,73 @@ pub fn synthetic_assignments(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference annealer: the same search, recounting every load with
+    /// [`dac_loads`] after each swap. [`anneal_channel_order`] must return
+    /// exactly what it returns.
+    fn reference_anneal(
+        assignments: &[Vec<usize>],
+        schedule: AnnealingSchedule,
+        seed: u64,
+    ) -> ReorderResult {
+        let channels = assignments[0].len();
+        let identity: Vec<usize> = (0..channels).collect();
+        let baseline_loads = dac_loads(assignments, &identity);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut order = identity.clone();
+        let mut cost = baseline_loads as f64;
+        let mut best_order = order.clone();
+        let mut best_cost = cost;
+        let mut temperature = schedule.initial_temperature;
+        if channels > 1 {
+            for _ in 0..schedule.steps {
+                let a = rng.random_range(0..channels);
+                let mut b = rng.random_range(0..channels);
+                while b == a {
+                    b = rng.random_range(0..channels);
+                }
+                order.swap(a, b);
+                let new_cost = dac_loads(assignments, &order) as f64;
+                let accept = new_cost <= cost
+                    || rng.random::<f64>() < ((cost - new_cost) / temperature.max(1e-12)).exp();
+                if accept {
+                    cost = new_cost;
+                    if cost < best_cost {
+                        best_cost = cost;
+                        best_order = order.clone();
+                    }
+                } else {
+                    order.swap(a, b);
+                }
+                temperature *= schedule.cooling;
+            }
+        }
+        ReorderResult {
+            optimized_loads: best_cost as u64,
+            order: best_order,
+            baseline_loads,
+        }
+    }
+
+    #[test]
+    fn swap_deltas_match_the_full_recount_oracle() {
+        let cases: Vec<(&str, Vec<Vec<usize>>, u64)> = vec![
+            ("sec7_3 input", synthetic_assignments(64, 64, 16, 3), 5),
+            ("two channels", synthetic_assignments(16, 2, 4, 21), 1),
+            ("three channels", synthetic_assignments(16, 3, 4, 22), 2),
+            ("single filter", synthetic_assignments(1, 24, 6, 23), 3),
+            ("one-entry codebook", synthetic_assignments(8, 16, 1, 24), 4),
+            ("128 x 32", synthetic_assignments(128, 32, 16, 25), 6),
+        ];
+        for (name, assignments, seed) in cases {
+            let schedule = AnnealingSchedule::default();
+            assert_eq!(
+                anneal_channel_order(&assignments, schedule, seed).unwrap(),
+                reference_anneal(&assignments, schedule, seed),
+                "{name}"
+            );
+        }
+    }
 
     #[test]
     fn loads_counting_basics() {

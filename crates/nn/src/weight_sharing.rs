@@ -87,19 +87,16 @@ impl SharedWeights {
         let elems = kh * kw;
 
         // Normalize each kernel; the scale carries the magnitude (and sign
-        // convention: scale >= 0, direction in the codebook).
-        let mut vectors = Vec::with_capacity(n);
-        let mut norms = Vec::with_capacity(n);
-        for fo in 0..o {
-            for fi in 0..i {
-                let flat = weights.kernel_flat(fo, fi);
-                let norm = flat.iter().map(|v| v * v).sum::<f64>().sqrt();
-                if norm > 0.0 {
-                    vectors.push(flat.iter().map(|v| v / norm).collect::<Vec<f64>>());
-                } else {
-                    vectors.push(vec![0.0; elems]);
-                }
-                norms.push(norm);
+        // convention: scale >= 0, direction in the codebook). Kernel
+        // `(fo, fi)` is chunk `fo * i + fi` of the OIHW data, and of `vectors`.
+        let kernels = weights.data().chunks_exact(elems);
+        let mut vectors = Vec::with_capacity(n * elems);
+        for flat in kernels.clone() {
+            let norm = flat.iter().map(|v| v * v).sum::<f64>().sqrt();
+            if norm > 0.0 {
+                vectors.extend(flat.iter().map(|v| v / norm));
+            } else {
+                vectors.resize(vectors.len() + elems, 0.0);
             }
         }
 
@@ -110,20 +107,17 @@ impl SharedWeights {
         while centroids.len() < clusters {
             let idx = rng.random_range(0..n);
             if chosen.insert(idx) {
-                centroids.push(vectors[idx].clone());
+                centroids.push(vectors[idx * elems..(idx + 1) * elems].to_vec());
             }
         }
 
         let mut assignment = vec![0usize; n];
         for _ in 0..iterations.max(1) {
-            // Assign.
-            for (v, a) in vectors.iter().zip(assignment.iter_mut()) {
-                *a = nearest(v, &centroids);
-            }
+            assign_nearest(&vectors, elems, &centroids, &mut assignment);
             // Update.
             let mut sums = vec![vec![0.0; elems]; clusters];
             let mut counts = vec![0usize; clusters];
-            for (v, &a) in vectors.iter().zip(&assignment) {
+            for (v, &a) in vectors.chunks_exact(elems).zip(&assignment) {
                 counts[a] += 1;
                 for (s, x) in sums[a].iter_mut().zip(v) {
                     *s += x;
@@ -139,25 +133,16 @@ impl SharedWeights {
                 }
             }
         }
-        for (v, a) in vectors.iter().zip(assignment.iter_mut()) {
-            *a = nearest(v, &centroids);
-        }
+        assign_nearest(&vectors, elems, &centroids, &mut assignment);
 
         // Optimal per-kernel scale: projection of the original kernel onto
         // its (unit) centroid.
-        let mut assignments = vec![vec![0usize; i]; o];
-        let mut scales = vec![vec![0.0; i]; o];
-        for fo in 0..o {
-            for fi in 0..i {
-                let idx = fo * i + fi;
-                let a = assignment[idx];
-                assignments[fo][fi] = a;
-                let orig = weights.kernel_flat(fo, fi);
-                let dot: f64 = orig.iter().zip(&centroids[a]).map(|(x, c)| x * c).sum();
-                scales[fo][fi] = dot;
-                let _ = norms[idx];
-            }
-        }
+        let scales_flat: Vec<f64> = kernels
+            .zip(&assignment)
+            .map(|(orig, &a)| orig.iter().zip(&centroids[a]).map(|(x, c)| x * c).sum())
+            .collect();
+        let assignments = assignment.chunks_exact(i).map(<[usize]>::to_vec).collect();
+        let scales = scales_flat.chunks_exact(i).map(<[f64]>::to_vec).collect();
 
         Ok(Self {
             codebook: centroids,
@@ -255,22 +240,126 @@ impl SharedWeights {
     }
 }
 
-fn nearest(v: &[f64], centroids: &[Vec<f64>]) -> usize {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (i, c) in centroids.iter().enumerate() {
-        let d: f64 = v.iter().zip(c).map(|(x, y)| (x - y) * (x - y)).sum();
-        if d < best_d {
-            best_d = d;
-            best = i;
+/// Centroids scored together in one block of [`assign_nearest`].
+const LANES: usize = 8;
+
+/// Sets `assignment[j]` to the index of the centroid nearest (squared L2)
+/// to vector `j`, the `j`-th `elems`-wide chunk of `vectors`; ties go to
+/// the lowest index.
+///
+/// The centroids are laid out centroid-major in blocks of [`LANES`],
+/// `table[(block * elems + e) * LANES + lane]`, so the inner loop runs
+/// across a block's lanes and vectorizes. Each lane still adds its
+/// `(x_e - c_e)²` terms in element order from zero, so every distance — and
+/// hence every assignment — is bit-identical to a per-centroid scan.
+fn assign_nearest(vectors: &[f64], elems: usize, centroids: &[Vec<f64>], assignment: &mut [usize]) {
+    let k = centroids.len();
+    let mut table = vec![f64::INFINITY; k.div_ceil(LANES) * elems * LANES];
+    for (c, centroid) in centroids.iter().enumerate() {
+        let (block, lane) = (c / LANES, c % LANES);
+        for (e, &x) in centroid.iter().enumerate() {
+            table[(block * elems + e) * LANES + lane] = x;
         }
     }
-    best
+    for (v, a) in vectors.chunks_exact(elems).zip(assignment.iter_mut()) {
+        let mut best = 0;
+        let mut best_d = f64::INFINITY;
+        for (block, columns) in table.chunks_exact(elems * LANES).enumerate() {
+            let mut acc = [0.0f64; LANES];
+            for (&x, column) in v.iter().zip(columns.chunks_exact(LANES)) {
+                for (s, &c) in acc.iter_mut().zip(column) {
+                    let d = x - c;
+                    *s += d * d;
+                }
+            }
+            let first = block * LANES;
+            for (lane, &d) in acc.iter().enumerate().take(k - first) {
+                if d < best_d {
+                    best_d = d;
+                    best = first + lane;
+                }
+            }
+        }
+        *a = best;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Per-centroid nearest search, the oracle for [`assign_nearest`].
+    fn nearest(v: &[f64], centroids: &[Vec<f64>]) -> usize {
+        let mut best = 0;
+        let mut best_d = f64::INFINITY;
+        for (i, c) in centroids.iter().enumerate() {
+            let d: f64 = v.iter().zip(c).map(|(x, y)| (x - y) * (x - y)).sum();
+            if d < best_d {
+                best_d = d;
+                best = i;
+            }
+        }
+        best
+    }
+
+    fn assert_scan_matches_oracle(vectors: &[f64], elems: usize, centroids: &[Vec<f64>]) {
+        let mut got = vec![usize::MAX; vectors.len() / elems];
+        assign_nearest(vectors, elems, centroids, &mut got);
+        for (j, (v, &a)) in vectors.chunks_exact(elems).zip(&got).enumerate() {
+            assert_eq!(
+                a,
+                nearest(v, centroids),
+                "vector {j}, k = {}",
+                centroids.len()
+            );
+        }
+    }
+
+    #[test]
+    fn blocked_scan_matches_per_centroid_oracle() {
+        let w = Tensor4::random(32, 16, 3, 3, -1.0, 1.0, 31);
+        let centroids = |k: usize, stride: usize| -> Vec<Vec<f64>> {
+            w.data()
+                .chunks_exact(9)
+                .step_by(stride)
+                .take(k)
+                .map(<[f64]>::to_vec)
+                .collect()
+        };
+        // Cluster counts off a multiple of the block width.
+        for k in [1, 4, 8, 17, 255] {
+            assert_scan_matches_oracle(w.data(), 9, &centroids(k, 2));
+        }
+        // 5x5 kernels.
+        let big = Tensor4::random(8, 8, 5, 5, -1.0, 1.0, 32);
+        let big_centroids: Vec<Vec<f64>> = big
+            .data()
+            .chunks_exact(25)
+            .step_by(3)
+            .map(<[f64]>::to_vec)
+            .collect();
+        assert_scan_matches_oracle(big.data(), 25, &big_centroids);
+        // Exact duplicates in the codebook: every vector ties between
+        // equal centroids, and the lowest index must win.
+        let mut dup = centroids(12, 5);
+        dup.extend(centroids(12, 5));
+        dup.rotate_left(3);
+        assert_scan_matches_oracle(w.data(), 9, &dup);
+        // All-zero kernels: about equally far from every unit centroid, and
+        // at distance zero from a zero centroid.
+        let zeros = vec![0.0; 9 * 40];
+        let mut unit: Vec<Vec<f64>> = centroids(20, 7)
+            .into_iter()
+            .map(|c| {
+                let norm = c.iter().map(|v| v * v).sum::<f64>().sqrt();
+                c.iter().map(|v| v / norm).collect()
+            })
+            .collect();
+        assert_scan_matches_oracle(&zeros, 9, &unit);
+        unit.insert(9, vec![0.0; 9]);
+        assert_scan_matches_oracle(&zeros, 9, &unit);
+        assert_scan_matches_oracle(w.data(), 9, &unit);
+    }
 
     #[test]
     fn clustering_identical_kernels_is_lossless() {
