@@ -279,7 +279,7 @@ pub fn ledger_cycles_total(
 }
 
 // ---------------------------------------------------------------------------
-// Shared breakdown math (single source for the experiments binaries)
+// Shared breakdown math (single source for the experiment modules)
 // ---------------------------------------------------------------------------
 
 /// Suite-averaged power and per-component energy shares of a suite

@@ -215,10 +215,11 @@ impl AcceleratorConfig {
         if self.temporal_accumulation == 0 {
             return Err(ConfigError::ZeroParameter("temporal_accumulation"));
         }
-        if self.clock.value() <= 0.0 {
+        // Written as negated accepted ranges so NaN (and infinity) fail.
+        if !(self.clock.value() > 0.0 && self.clock.value().is_finite()) {
             return Err(ConfigError::ZeroParameter("clock"));
         }
-        if self.weight_compression < 1.0 {
+        if !(self.weight_compression >= 1.0 && self.weight_compression.is_finite()) {
             return Err(ConfigError::ZeroParameter("weight_compression"));
         }
         if self.batch == 0 {
@@ -226,6 +227,9 @@ impl AcceleratorConfig {
         }
         if self.wavelengths > refocus_photonics::wdm::MAX_WAVELENGTHS {
             return Err(ConfigError::TooManyWavelengths(self.wavelengths));
+        }
+        if self.optical_buffer == (OpticalBufferKind::FeedBack { reuses: 0 }) {
+            return Err(ConfigError::ZeroParameter("reuses"));
         }
         if self.optical_buffer != OpticalBufferKind::None {
             if self.delay_cycles == 0 {
@@ -402,6 +406,27 @@ mod tests {
         let mut cfg = AcceleratorConfig::refocus_ff();
         cfg.wavelengths = 9;
         assert_eq!(cfg.validate(), Err(ConfigError::TooManyWavelengths(9)));
+        let mut cfg = AcceleratorConfig::refocus_fb();
+        cfg.optical_buffer = OpticalBufferKind::FeedBack { reuses: 0 };
+        assert_eq!(cfg.validate(), Err(ConfigError::ZeroParameter("reuses")));
+        for bad in [f64::NAN, f64::INFINITY, 0.5] {
+            let mut cfg = AcceleratorConfig::refocus_fb();
+            cfg.weight_compression = bad;
+            assert_eq!(
+                cfg.validate(),
+                Err(ConfigError::ZeroParameter("weight_compression")),
+                "weight_compression = {bad}"
+            );
+        }
+        for bad in [f64::NAN, f64::INFINITY, 0.0] {
+            let mut cfg = AcceleratorConfig::refocus_fb();
+            cfg.clock = GigaHertz::new(bad);
+            assert_eq!(
+                cfg.validate(),
+                Err(ConfigError::ZeroParameter("clock")),
+                "clock = {bad}"
+            );
+        }
     }
 
     #[test]

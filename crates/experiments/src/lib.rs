@@ -27,10 +27,10 @@
 //! | [`summary`] | headline reproduction scorecard |
 //! | [`obs_report`] | extension: render/diff attribution-ledger breakdowns |
 //!
-//! The `report` binary prints everything:
-//! `cargo run -p refocus-experiments --bin report [--experiment fig11] [--json]`.
-//! The `obs-report` binary renders and diffs the obs summary JSON a traced
-//! run exports: `obs-report render run.json`, `obs-report diff a.json b.json`.
+//! The root package's `refocus` binary prints everything with `refocus
+//! report [--experiment fig11] [--json]`, runs the fault campaign with
+//! `refocus fault-study`, and renders and diffs the obs summary JSON a
+//! traced run exports: `refocus obs render|diff`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

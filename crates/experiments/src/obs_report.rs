@@ -4,7 +4,7 @@
 //! whose embedded `refocus-obs-breakdown/v1` section carries every
 //! attribution-ledger cell — per-layer × per-component joules, cycles,
 //! and bytes (DESIGN.md §11). This module is the engine behind the
-//! `obs-report` binary: it validates the schema, renders the cells as
+//! `refocus obs` subcommand: it validates the schema, renders the cells as
 //! paper-style breakdown tables (one pivot table per family, components
 //! as columns), and diffs two runs cell-by-cell with a configurable
 //! relative-regression threshold.
