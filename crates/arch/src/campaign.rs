@@ -277,16 +277,18 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Whether mean max-abs error is non-decreasing across the severity
-    /// sweep (within `tolerance` of slack per step, to absorb float
-    /// rounding in error accumulation).
+    /// Whether mean max-abs error is non-decreasing in severity (within
+    /// `tolerance` of slack per step, to absorb float rounding in error
+    /// accumulation). Rows are compared in ascending severity, whatever
+    /// order the sweep listed them in.
     ///
     /// Severities with zero successful cells carry no measurement and
     /// are excluded from the comparison instead of being treated as
     /// zero-error rows (which would spuriously break monotonicity as
     /// soon as one severity's cells all failed or were skipped).
     pub fn errors_monotone_in_severity(&self, tolerance: f64) -> bool {
-        let measured: Vec<&CampaignRow> = self.rows.iter().filter(|r| r.seeds > 0).collect();
+        let mut measured: Vec<&CampaignRow> = self.rows.iter().filter(|r| r.seeds > 0).collect();
+        measured.sort_by(|a, b| a.severity.total_cmp(&b.severity));
         measured
             .windows(2)
             .all(|w| w[1].mean_max_abs_error >= w[0].mean_max_abs_error - tolerance)
@@ -372,7 +374,7 @@ impl FaultCampaign {
             .collect();
         let seeds: Vec<String> = self.seeds.iter().map(|s| s.to_string()).collect();
         format!(
-            "campaign-v1|{}|{spec}|{workload}|{}|{}",
+            "campaign-v2|{}|{spec}|{workload}|{}|{}",
             self.config.name,
             severities.join(","),
             seeds.join(",")
@@ -715,6 +717,29 @@ mod tests {
     }
 
     #[test]
+    fn monotonicity_is_judged_in_severity_order() {
+        let report = small_campaign()
+            .with_severities(&[4.0, 0.0, 1.0])
+            .run()
+            .expect("unsorted campaign runs");
+        assert_eq!(report.rows[0].severity, 4.0, "rows keep sweep order");
+        assert!(
+            report.errors_monotone_in_severity(1e-12),
+            "{:?}",
+            report.rows
+        );
+        // Errors that really fall as severity grows are still caught,
+        // whatever the sweep order.
+        let mut falling = report.clone();
+        for row in &mut falling.rows {
+            row.mean_max_abs_error = 1.0 / (1.0 + row.severity);
+        }
+        assert!(!falling.errors_monotone_in_severity(1e-12));
+        falling.rows.reverse();
+        assert!(!falling.errors_monotone_in_severity(1e-12));
+    }
+
+    #[test]
     fn same_seed_produces_identical_report() {
         let a = small_campaign().run().expect("first run succeeds");
         let b = small_campaign().run().expect("second run succeeds");
@@ -929,6 +954,43 @@ mod tests {
             .resume(&path)
             .expect_err("different grid must be rejected");
         assert!(matches!(err, SimError::Checkpoint { .. }), "got {err:?}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journal_from_before_the_spectral_fault_path_is_refused() {
+        // Cells computed per pass differ from spectral-path cells in their
+        // last bits, so a `campaign-v1` journal must not be resumed into a
+        // mixed grid.
+        let path = scratch("v1");
+        let campaign = small_campaign();
+        let fingerprint = campaign.fingerprint();
+        let v1 = fingerprint.replacen("campaign-v2|", "campaign-v1|", 1);
+        assert_ne!(v1, fingerprint);
+        let mut journal = Checkpoint::create(&path, &v1).expect("v1 journal is written");
+        let cell = CampaignCell {
+            severity: 1.0,
+            seed: 1,
+            max_abs_error: 0.5,
+            rms_error: 0.25,
+        };
+        journal
+            .append(&cell_key(1.0, 1), cell)
+            .expect("v1 cell is journaled");
+        drop(journal);
+        let err = campaign
+            .resume(&path)
+            .expect_err("a v1 journal must be refused");
+        match err {
+            SimError::Checkpoint { message } => {
+                assert!(message.contains("fingerprint mismatch"), "{message}")
+            }
+            other => panic!("expected a checkpoint error, got {other:?}"),
+        }
+        // Refused, not rewritten: the v1 journal still holds its cell.
+        let kept = Checkpoint::<CampaignCell>::load(&path, &v1).expect("v1 journal intact");
+        assert_eq!(kept.get(&cell_key(1.0, 1)), Some(&cell));
+        assert_eq!(kept.len(), 1);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -10,21 +10,21 @@
 //! feedback-buffer attenuation + weight rescaling (§4.1.1).
 //!
 //! Only the output rows a strided layer keeps are computed. When no pass
-//! carries state of its own (no converter, no active fault model), passes
-//! share lens-1 spectra and detector sums the way the hardware reuses
-//! light; see DESIGN.md §3, "Functional path: spectral reuse".
+//! carries state of its own (no converter, no analog noise), passes share
+//! lens-1 spectra and detector sums the way the hardware reuses light,
+//! with or without stuck taps, dead pixels and laser drift; see DESIGN.md
+//! §3, "Functional path: spectral reuse".
 
 use crate::config::AcceleratorConfig;
 use refocus_nn::conv::ConvError;
 use refocus_nn::quant::PseudoNegativeSplit;
 use refocus_nn::tensor::{Tensor3, Tensor4};
-use refocus_nn::tiling::{
-    tiled_conv2d_strided_with, RowPass, RowSchedule, TilingError, TilingMode,
-};
+use refocus_nn::tiling::{tiled_conv2d_strided_with, RowSchedule, TilingError, TilingMode};
 use refocus_photonics::buffer::FeedbackBuffer;
 use refocus_photonics::faults::FaultInjector;
 use refocus_photonics::jtc::{DetectorSum, Jtc, JtcError, PlaneGeometry, Spectrum};
 use std::fmt;
+use std::ops::Range;
 
 /// Errors from functional execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,10 +127,12 @@ impl OpticalExecutor {
         }
     }
 
-    /// Attaches a device-fault model: every subsequent optical pass runs
-    /// through [`Jtc::correlate_with_faults`] with this injector (stuck
-    /// weight taps, dead detector pixels, laser drift, composed analog
-    /// noise). A transparent injector leaves results bit-identical.
+    /// Attaches a device-fault model (stuck weight taps, dead detector
+    /// pixels, laser drift, composed analog noise) to every subsequent
+    /// optical pass, with the result [`Jtc::correlate_with_faults`] gives
+    /// pass by pass. Without noise or converters the layer still runs on
+    /// the spectral path (see [`Self::conv2d`]); a transparent injector
+    /// leaves results bit-identical.
     pub fn with_faults(mut self, injector: FaultInjector) -> Self {
         self.faults = Some(std::cell::RefCell::new(injector));
         self
@@ -165,10 +167,14 @@ impl OpticalExecutor {
     /// [`refocus_nn::conv::conv2d`]) entirely through optical passes.
     ///
     /// Only the kept output rows (`oy % stride == 0`) are computed. With
-    /// no DAC, no ADC and no active fault model, passes share lens-1
-    /// spectra and each (output channel, pass, half) detector sums its
-    /// input channels before one lens-2 transform; [`Self::passes`] still
-    /// counts one pass per (o, i, half, tile).
+    /// no DAC, no ADC and no analog noise, passes share lens-1 spectra and
+    /// each (output channel, pass, half) detector sums its input channels
+    /// before one lens-2 transform; [`Self::passes`] still counts one pass
+    /// per (o, i, half, tile). A fault model rides along: stuck taps
+    /// corrupt the shared kernel spectra, each pass's laser drift scales
+    /// its field at the detector, and dead pixels mask the summed readout.
+    /// Noisy or quantized layers run pass by pass through
+    /// [`Jtc::correlate_with_faults`] / [`Jtc::correlate`].
     ///
     /// Output channels execute in parallel on the [`refocus_par`] pool.
     /// Results are bit-identical at every thread count: each channel
@@ -281,11 +287,31 @@ impl OpticalExecutor {
             .collect::<Result<Vec<_>, _>>()?;
         let (out_h, out_w) = schedule.output_hw();
 
-        // With no converter and no fault state, nothing differs from pass
-        // to pass but the light itself: lens 1 and lens 2 are linear, so
-        // passes may share spectra and detector sums.
-        let results = if !jtc.has_converters() && faults.is_none_or(FaultInjector::is_transparent) {
-            spectral_channels(jtc, &schedule, &geometries, &channel_rows, &split)
+        // A transparent injector changes nothing, so it takes the clean
+        // path untouched.
+        let faults = faults.filter(|f| !f.is_transparent());
+        // With no converter and no noise, a pass differs from the others
+        // only in its light and in faults that are linear in it: lens 1
+        // and lens 2 are linear, so passes may share spectra and detector
+        // sums.
+        let results = if !jtc.has_converters() && !faults.is_some_and(FaultInjector::has_noise) {
+            let faults = faults.map(|injector| {
+                SpectralFaults::new(
+                    injector,
+                    epoch,
+                    weights.out_channels(),
+                    input.channels(),
+                    schedule.passes().len(),
+                )
+            });
+            spectral_channels(
+                jtc,
+                &schedule,
+                &geometries,
+                &channel_rows,
+                &split,
+                faults.as_ref(),
+            )
         } else {
             let channels: Vec<usize> = (0..weights.out_channels()).collect();
             refocus_par::par_map(&channels, |&o| {
@@ -435,19 +461,74 @@ impl OpticalExecutor {
 /// row-partitioned layers, whose passes run into the hundreds.
 const SPECTRAL_BLOCK_BYTES: usize = 128 * 1024;
 
+/// A noiseless fault model on the spectral path. Stuck taps and dead
+/// pixels are fixed sites of the injector: a stuck tap corrupts the kernel
+/// operand before its one lens-1 spectrum, and the dead-pixel mask, linear
+/// and the same for every pass of one geometry, zeroes the summed readout.
+/// Laser drift is one factor per pass that scales the whole field.
+struct SpectralFaults<'a> {
+    injector: &'a FaultInjector,
+    passes: usize,
+    /// Per output channel, the drift factor of each (input channel, half,
+    /// pass) in the per-pass path's order; empty when the spec has no
+    /// drift, where every factor is exactly 1.
+    drift: Vec<Vec<f64>>,
+}
+
+impl<'a> SpectralFaults<'a> {
+    /// Walks each output channel's drift for layer fan-out `epoch` the way
+    /// the per-pass path does: one step per pass, (i, half, pass) order,
+    /// on [`FaultInjector::for_work_item`]`(epoch, o)`.
+    fn new(
+        injector: &'a FaultInjector,
+        epoch: u64,
+        out_channels: usize,
+        in_channels: usize,
+        passes: usize,
+    ) -> Self {
+        let drift = if injector.spec().laser_drift_sigma == 0.0 {
+            Vec::new()
+        } else {
+            (0..out_channels)
+                .map(|o| {
+                    let mut walk = injector.for_work_item(epoch, o as u64);
+                    (0..in_channels * 2 * passes)
+                        .map(|_| walk.laser_drift_step())
+                        .collect()
+                })
+                .collect()
+        };
+        Self {
+            injector,
+            passes,
+            drift,
+        }
+    }
+
+    /// The field scale of output channel `o`'s pass `pass` of input
+    /// channel `i`, pseudo-negative half `half` (0 positive, 1 negative).
+    fn drift(&self, o: usize, i: usize, half: usize, pass: usize) -> f64 {
+        self.drift
+            .get(o)
+            .map_or(1.0, |d| d[(i * 2 + half) * self.passes + pass])
+    }
+}
+
 /// The spectral path of [`OpticalExecutor::conv2d`] for every output
 /// channel: each (input channel, pass) signal spectrum is computed once and
 /// shared by all output-channel workers (the optical buffer, §4.1); each
-/// (o, i, half) kernel spectrum once per block of passes; and each (o,
-/// pass, half) detector sums its input channels before one lens-2
-/// transform (temporal accumulation §4.1.4, WDM §4.2). Passes are still
-/// counted one per (o, i, half, pass).
+/// (o, i, half) kernel spectrum, stuck taps applied, once per block of
+/// passes; and each (o, pass, half) detector sums its input channels,
+/// each scaled by its pass's laser drift, before one lens-2 transform
+/// (temporal accumulation §4.1.4, WDM §4.2) and the dead-pixel mask.
+/// Passes are still counted one per (o, i, half, pass).
 fn spectral_channels(
     jtc: &Jtc,
     schedule: &RowSchedule,
     geometries: &[PlaneGeometry],
     channel_rows: &[Vec<Vec<f64>>],
     split: &PseudoNegativeSplit,
+    faults: Option<&SpectralFaults>,
 ) -> Vec<Result<(Vec<f64>, u64), FunctionalError>> {
     let in_channels = channel_rows.len();
     let out_channels = split.positive.out_channels();
@@ -496,7 +577,16 @@ fn spectral_channels(
         };
         let valid: Vec<Vec<[Vec<f64>; 2]>> = refocus_par::par_map(&channels, |&o| {
             let _chan = refocus_obs::span_with("conv2d.channel", || format!("oc={o}"));
-            spectral_block(jtc, schedule, block, geoms, &signals, split, o)
+            spectral_block(
+                jtc,
+                schedule,
+                geometries,
+                start..end,
+                &signals,
+                split,
+                faults,
+                o,
+            )
         });
 
         for (o, windows) in valid.iter().enumerate() {
@@ -515,17 +605,22 @@ fn spectral_channels(
 }
 
 /// One output channel's share of a spectral block: the valid windows of
-/// its positive and negative detector sums, one per pass of `block`.
+/// its positive and negative detector sums, one per pass of `range`.
 /// `signals` holds the block's signal spectra, input-channel major.
+#[allow(clippy::too_many_arguments)]
 fn spectral_block(
     jtc: &Jtc,
     schedule: &RowSchedule,
-    block: &[RowPass],
-    geoms: &[PlaneGeometry],
+    geometries: &[PlaneGeometry],
+    range: Range<usize>,
     signals: &[Spectrum],
     split: &PseudoNegativeSplit,
+    faults: Option<&SpectralFaults>,
     o: usize,
 ) -> Vec<[Vec<f64>; 2]> {
+    let start = range.start;
+    let block = &schedule.passes()[range.clone()];
+    let geoms = &geometries[range];
     let mut detectors: Vec<[DetectorSum; 2]> = geoms
         .iter()
         .map(|&g| [jtc.detector(g), jtc.detector(g)])
@@ -551,7 +646,10 @@ fn spectral_block(
                 .iter()
                 .map(|&q| {
                     halves.each_ref().map(|half| {
-                        let kernel = schedule.kernel(half, &block[q]);
+                        let mut kernel = schedule.kernel(half, &block[q]);
+                        if let Some(faults) = faults {
+                            faults.injector.corrupt_kernel(&mut kernel);
+                        }
                         jtc.kernel_spectrum(geoms[q], &kernel)
                             .expect("pseudo-negative halves are non-negative")
                     })
@@ -559,16 +657,34 @@ fn spectral_block(
                 .collect()
         };
         let _s = refocus_obs::span("jtc.spectral.detect");
-        for ((pair, signal), &slot) in detectors.iter_mut().zip(signals).zip(&kernel_of) {
-            for (detector, kernel) in pair.iter_mut().zip(&spectra[slot]) {
-                detector.add(signal, kernel);
+        for (p, ((pair, signal), &slot)) in detectors
+            .iter_mut()
+            .zip(signals)
+            .zip(&kernel_of)
+            .enumerate()
+        {
+            for (half, (detector, kernel)) in pair.iter_mut().zip(&spectra[slot]).enumerate() {
+                let drift = faults.map_or(1.0, |f| f.drift(o, i, half, start + p));
+                detector.add(signal, kernel, drift);
             }
         }
     }
     let _s = refocus_obs::span("jtc.spectral.lens2");
     detectors
         .iter()
-        .map(|pair| pair.each_ref().map(DetectorSum::read_valid))
+        .zip(block)
+        .map(|(pair, pass)| {
+            pair.each_ref().map(|detector| {
+                let mut valid = detector.read_valid();
+                if let Some(faults) = faults {
+                    // Valid lag `v` is pixel `v + lk − 1` of the full
+                    // window `Jtc::correlate_with_faults` masks.
+                    let lk = schedule.operand_lens(pass).1;
+                    faults.injector.mask_dead_pixels(lk - 1, &mut valid);
+                }
+                valid
+            })
+        })
         .collect()
 }
 
@@ -775,6 +891,135 @@ mod tests {
         }
     }
 
+    /// The faulted per-pass reference: each output channel's injector
+    /// derived for `epoch` and walked pass by pass, in (i, half, pass)
+    /// order, through [`Jtc::correlate_with_faults`].
+    #[allow(clippy::too_many_arguments)]
+    fn faulted_per_pass_oracle(
+        jtc: &Jtc,
+        tile: usize,
+        input: &Tensor3,
+        weights: &Tensor4,
+        stride: usize,
+        padding: usize,
+        injector: &FaultInjector,
+        epoch: u64,
+    ) -> Tensor3 {
+        let split = PseudoNegativeSplit::of(weights);
+        let padded = input.pad_spatial(padding);
+        let mut out: Option<Tensor3> = None;
+        for o in 0..weights.out_channels() {
+            let mut worker = injector.for_work_item(epoch, o as u64);
+            let mut acc: Vec<Vec<f64>> = Vec::new();
+            for i in 0..input.channels() {
+                let rows: Vec<Vec<f64>> =
+                    padded.channel_rows(i).iter().map(|r| r.to_vec()).collect();
+                for (sign, half) in [(1.0, &split.positive), (-1.0, &split.negative)] {
+                    let partial = tiled_conv2d_strided_with(
+                        &rows,
+                        &half.kernel(o, i),
+                        tile,
+                        TilingMode::Exact,
+                        stride,
+                        |s, k| {
+                            jtc.correlate_with_faults(s, k, &mut worker)
+                                .unwrap()
+                                .valid()
+                                .to_vec()
+                        },
+                    )
+                    .unwrap();
+                    if acc.is_empty() {
+                        acc = vec![vec![0.0; partial[0].len()]; partial.len()];
+                    }
+                    for (ar, pr) in acc.iter_mut().zip(&partial) {
+                        for (a, p) in ar.iter_mut().zip(pr) {
+                            *a += sign * p;
+                        }
+                    }
+                }
+            }
+            let out = out.get_or_insert_with(|| {
+                Tensor3::zeros(weights.out_channels(), acc.len(), acc[0].len())
+            });
+            for (oy, row) in acc.iter().enumerate() {
+                for (ox, &v) in row.iter().enumerate() {
+                    out.set(o, oy, ox, v);
+                }
+            }
+        }
+        out.unwrap()
+    }
+
+    #[test]
+    fn faulted_spectral_path_matches_per_pass_oracle() {
+        use refocus_photonics::components::NonlinearMaterial;
+        use refocus_photonics::faults::FaultSpec;
+        let saturating = Jtc::ideal().with_nonlinearity(NonlinearMaterial::saturating(2_000));
+        // (what, jtc, tile, C_in, C_out, h, w, k, stride, padding)
+        let cases = [
+            ("one pass", Jtc::ideal(), 256, 2, 2, 8, 8, 3, 1, 1),
+            ("multi-tile", Jtc::ideal(), 64, 2, 3, 12, 12, 3, 1, 1),
+            ("stride 2", Jtc::ideal(), 128, 3, 2, 16, 16, 3, 2, 1),
+            ("row-partitioned", Jtc::ideal(), 50, 2, 2, 13, 20, 5, 2, 0),
+            ("saturating", saturating, 128, 2, 2, 10, 10, 3, 1, 1),
+        ];
+        // Dead taps (level 0) and taps stuck above zero, which also hits
+        // the zero gaps of a tiled kernel; each with dead pixels and drift.
+        let specs = [
+            (
+                "dead taps",
+                FaultSpec::none()
+                    .with_stuck_weights(0.1, 0.0)
+                    .with_dead_pixel_rate(0.05)
+                    .with_laser_drift(0.01, 0.1),
+            ),
+            (
+                "stuck taps",
+                FaultSpec::none()
+                    .with_stuck_weights(0.1, 0.5)
+                    .with_dead_pixel_rate(0.05)
+                    .with_laser_drift(0.01, 0.1),
+            ),
+            ("drift only", FaultSpec::none().with_laser_drift(0.02, 0.2)),
+        ];
+        for (n, (what, jtc, tile, c_in, c_out, h, w, k, stride, padding)) in
+            cases.into_iter().enumerate()
+        {
+            let data = 60 + 2 * n as u64;
+            let input = Tensor3::random(c_in, h, w, 0.0, 1.0, data);
+            let weights = Tensor4::random(c_out, c_in, k, k, -1.0, 1.0, data + 1);
+            let config = AcceleratorConfig {
+                tile,
+                ..AcceleratorConfig::refocus_ff()
+            };
+            for (faults, spec) in specs {
+                for seed in [1, 2, 3] {
+                    let injector = FaultInjector::new(spec, seed);
+                    let exec =
+                        OpticalExecutor::new(&config, jtc.clone()).with_faults(injector.clone());
+                    let got = exec.conv2d(&input, &weights, stride, padding).unwrap();
+                    let want = faulted_per_pass_oracle(
+                        &jtc, tile, &input, &weights, stride, padding, &injector, 0,
+                    );
+                    assert_eq!(got.shape(), want.shape(), "{what}, {faults}");
+                    let peak = want.max_abs();
+                    assert!(
+                        max_diff(&got, &want) <= 1e-9 * peak,
+                        "{what}, {faults}, seed {seed}: diff {} vs peak {peak}",
+                        max_diff(&got, &want)
+                    );
+                    // The faults moved the output: the comparison is not
+                    // between two clean layers.
+                    let clean = OpticalExecutor::new(&config, jtc.clone())
+                        .conv2d(&input, &weights, stride, padding)
+                        .unwrap();
+                    assert!(max_diff(&got, &clean) > 1e-9 * peak, "{what}, {faults}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn too_small_a_plane_is_an_error() {
         let input = Tensor3::random(1, 8, 8, 0.0, 1.0, 30);
@@ -898,8 +1143,8 @@ mod tests {
         // One spec per fault knob, each set alone. Error is measured
         // against the fault-free optical output, so severity 0 scores
         // exactly 0; it must not shrink as severity grows, and every knob
-        // must move the output by far more than the ~1e-15 rounding gap
-        // between the fault-free and the faulted pass paths.
+        // must move the output by far more than float rounding (both run
+        // on the spectral path, where a drift factor of 1 is exact).
         let knobs = [
             (
                 "stuck taps",

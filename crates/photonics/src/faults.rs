@@ -385,7 +385,14 @@ impl FaultInjector {
 
     /// True if neither structural faults nor analog noise are active.
     pub fn is_transparent(&self) -> bool {
-        self.spec.is_fault_free() && self.noise.as_ref().is_none_or(NoiseModel::is_noiseless)
+        self.spec.is_fault_free() && !self.has_noise()
+    }
+
+    /// True if a composed [`NoiseModel`] perturbs detected outputs. Noise
+    /// draws from a sequential stream over every detected sample of every
+    /// pass, so a noisy pass cannot share its readout with other passes.
+    pub fn has_noise(&self) -> bool {
+        self.noise.as_ref().is_some_and(|n| !n.is_noiseless())
     }
 
     /// Whether weight-bank tap `index` is stuck.
@@ -415,14 +422,15 @@ impl FaultInjector {
     }
 
     /// Zeroes dead-pixel positions of a detected output in place.
-    /// Index `i` of the slice is detector pixel `i` (the same physical
-    /// array is reused every pass, so the dead set is static).
-    pub fn mask_dead_pixels(&self, detected: &mut [f64]) {
+    /// Index `i` of the slice is detector pixel `first_pixel + i` (the
+    /// same physical array is reused every pass, so the dead set is
+    /// static).
+    pub fn mask_dead_pixels(&self, first_pixel: usize, detected: &mut [f64]) {
         if self.spec.dead_pixel_rate == 0.0 {
             return;
         }
         for (i, v) in detected.iter_mut().enumerate() {
-            if self.pixel_is_dead(i) {
+            if self.pixel_is_dead(first_pixel + i) {
                 *v = 0.0;
             }
         }
@@ -687,5 +695,10 @@ mod tests {
         assert!(inj.is_transparent());
         let inj = FaultInjector::new(FaultSpec::none().with_dead_pixel_rate(0.01), 0);
         assert!(!inj.is_transparent());
+        assert!(!inj.has_noise());
+        let quiet = inj.clone().with_noise(NoiseModel::new(1));
+        assert!(!quiet.has_noise());
+        let noisy = quiet.with_noise(NoiseModel::new(1).with_relative_sigma(0.01));
+        assert!(noisy.has_noise() && !noisy.is_transparent());
     }
 }

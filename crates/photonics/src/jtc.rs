@@ -153,7 +153,8 @@ impl Jtc {
     /// True if a DAC or an ADC sits in the pass. Both act on one pass at a
     /// time (the DAC normalizes by the joint peak of signal and kernel, the
     /// ADC by the pass's own full scale), so a pass with converters cannot
-    /// share lens-1 spectra or detector sums with other passes.
+    /// share lens-1 spectra or detector sums with other passes, with or
+    /// without a fault model.
     pub fn has_converters(&self) -> bool {
         self.dac.is_some() || self.adc.is_some()
     }
@@ -369,6 +370,11 @@ impl Jtc {
     /// composed analog [`NoiseModel`](crate::noise::NoiseModel) if any.
     /// With a transparent injector this is exactly [`Jtc::correlate`].
     ///
+    /// This is the per-pass reference. Without noise, every fault here is
+    /// fixed per kernel operand (stuck taps), a scale of the whole field
+    /// (drift) or linear in the readout (dead pixels), so a layer can run
+    /// it on shared spectra and detector sums instead ([`DetectorSum`]).
+    ///
     /// # Errors
     ///
     /// Same conditions as [`Jtc::correlate`].
@@ -389,7 +395,7 @@ impl Jtc {
             *tap *= drift;
         }
         let mut out = self.correlate(&signal, &kernel)?;
-        injector.mask_dead_pixels(&mut out.full);
+        injector.mask_dead_pixels(0, &mut out.full);
         injector.apply_noise(&mut out.full);
         Ok(out)
     }
@@ -537,12 +543,16 @@ enum DetectedSum {
 
 impl DetectorSum {
     /// Adds one pass: `signal` at `sep` and `kernel` at 0 on this
-    /// detector's geometry.
+    /// detector's geometry, with the whole input field scaled by
+    /// `field_scale` before the nonlinearity (a laser-power factor, e.g.
+    /// [`FaultInjector::laser_drift_step`](crate::faults::FaultInjector::laser_drift_step);
+    /// lens 1 is linear, so scaling the plane scales its spectrum). A
+    /// clean pass uses 1.0, which leaves it unscaled.
     ///
     /// # Panics
     ///
     /// Panics if either spectrum was computed for another geometry.
-    pub fn add(&mut self, signal: &Spectrum, kernel: &Spectrum) {
+    pub fn add(&mut self, signal: &Spectrum, kernel: &Spectrum, field_scale: f64) {
         let g = &self.geometry;
         let bins = g.n / 2 + 1;
         assert!(
@@ -555,11 +565,18 @@ impl DetectorSum {
             "spectra computed for another plane geometry"
         );
         let nl = self.nonlinearity;
-        let pass = signal
-            .bins
-            .iter()
-            .zip(&kernel.bins)
-            .map(|(&s, &k)| nl.apply_point(s + k).re);
+        let fields = signal.bins.iter().zip(&kernel.bins).map(|(&s, &k)| s + k);
+        // Scaling by 1.0 is exact but not free in this inner loop, so a
+        // clean pass skips it.
+        if field_scale == 1.0 {
+            self.accumulate(fields.map(|f| nl.apply_point(f).re));
+        } else {
+            self.accumulate(fields.map(|f| nl.apply_point(f * field_scale).re));
+        }
+    }
+
+    /// Adds one pass's Fourier-plane intensity, bins `0..=n/2`.
+    fn accumulate(&mut self, pass: impl Iterator<Item = f64>) {
         match &mut self.sum {
             DetectedSum::Intensity(sum) => {
                 for (acc, v) in sum.iter_mut().zip(pass) {
@@ -568,7 +585,7 @@ impl DetectorSum {
             }
             DetectedSum::Readout(sum) => {
                 let intensity: Vec<f64> = pass.collect();
-                for (acc, v) in sum.iter_mut().zip(g.lens2_valid(&intensity)) {
+                for (acc, v) in sum.iter_mut().zip(self.geometry.lens2_valid(&intensity)) {
                     *acc += v;
                 }
             }
@@ -749,7 +766,8 @@ mod tests {
     fn detector_sum_matches_summed_correlate_passes() {
         // Square law sums intensities before one lens-2 transform; a
         // saturating response reads each pass on its own. Either way the
-        // detector must equal the per-pass readouts added up.
+        // detector must equal the per-pass readouts added up. A field
+        // scale is the per-pass path's laser drift: both operands scaled.
         for jtc in [
             Jtc::ideal(),
             Jtc::ideal().with_nonlinearity(NonlinearMaterial::saturating(50)),
@@ -757,14 +775,17 @@ mod tests {
             let g = jtc.plane_geometry(40, 7).unwrap();
             let mut detector = jtc.detector(g);
             let mut want = vec![0.0; 34];
-            for seed in 0..3 {
+            for (seed, scale) in [(0, 1.0), (1, 1.03), (2, 0.96)] {
                 let s = pseudo_random(40, 60 + seed);
                 let k = pseudo_random(7, 70 + seed);
                 detector.add(
                     &jtc.signal_spectrum(g, &s).unwrap(),
                     &jtc.kernel_spectrum(g, &k).unwrap(),
+                    scale,
                 );
-                for (w, v) in want.iter_mut().zip(jtc.correlate(&s, &k).unwrap().valid()) {
+                let scaled = |v: &[f64]| v.iter().map(|x| x * scale).collect::<Vec<_>>();
+                let pass = jtc.correlate(&scaled(&s), &scaled(&k)).unwrap();
+                for (w, v) in want.iter_mut().zip(pass.valid()) {
                     *w += v;
                 }
             }
