@@ -225,7 +225,7 @@ impl AcceleratorConfig {
         if self.batch == 0 {
             return Err(ConfigError::ZeroParameter("batch"));
         }
-        if self.wavelengths > refocus_photonics::wdm::MAX_WAVELENGTHS {
+        if self.wavelengths > refocus_photonics::dispersion::MAX_WAVELENGTHS {
             return Err(ConfigError::TooManyWavelengths(self.wavelengths));
         }
         if self.optical_buffer == (OpticalBufferKind::FeedBack { reuses: 0 }) {
@@ -406,6 +406,16 @@ mod tests {
         let mut cfg = AcceleratorConfig::refocus_ff();
         cfg.wavelengths = 9;
         assert_eq!(cfg.validate(), Err(ConfigError::TooManyWavelengths(9)));
+        // The shared-photodetector limit, N_λ < 4, at its edges.
+        cfg.wavelengths = 0;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::ZeroParameter("wavelengths"))
+        );
+        cfg.wavelengths = 3;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.wavelengths = 4;
+        assert_eq!(cfg.validate(), Err(ConfigError::TooManyWavelengths(4)));
         let mut cfg = AcceleratorConfig::refocus_fb();
         cfg.optical_buffer = OpticalBufferKind::FeedBack { reuses: 0 };
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroParameter("reuses")));

@@ -290,19 +290,6 @@ pub fn simulate_suite(
     suite: &[Network],
     config: &AcceleratorConfig,
 ) -> Result<SuiteReport, SimError> {
-    simulate_suite_with_options(suite, config, EnergyOptions::default())
-}
-
-/// [`simulate_suite`] with explicit [`EnergyOptions`].
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_suite`].
-pub fn simulate_suite_with_options(
-    suite: &[Network],
-    config: &AcceleratorConfig,
-    options: EnergyOptions,
-) -> Result<SuiteReport, SimError> {
     if suite.is_empty() {
         return Err(SimError::EmptySuite);
     }
@@ -313,7 +300,7 @@ pub fn simulate_suite_with_options(
         "simulate_suite.network",
         suite,
         |net| net.name().to_string(),
-        |_, net, _| simulate_with_options(net, config, options),
+        |_, net, _| simulate(net, config),
         &RunBudget::strict(),
         None,
     );

@@ -123,44 +123,6 @@ impl Hierarchy {
         }
     }
 
-    /// Replaces the activation SRAM macro.
-    pub fn with_activation_sram(mut self, sram: Sram) -> Self {
-        self.activation_sram = sram;
-        self
-    }
-
-    /// Replaces the weight SRAM macro.
-    pub fn with_weight_sram(mut self, sram: Sram) -> Self {
-        self.weight_sram = sram;
-        self
-    }
-
-    /// Replaces the DRAM interface.
-    pub fn with_dram(mut self, dram: Dram) -> Self {
-        self.dram = dram;
-        self
-    }
-
-    /// The activation SRAM model.
-    pub fn activation_sram(&self) -> &Sram {
-        &self.activation_sram
-    }
-
-    /// The weight SRAM model.
-    pub fn weight_sram(&self) -> &Sram {
-        &self.weight_sram
-    }
-
-    /// The configured data buffers, if any.
-    pub fn buffers(&self) -> Option<&DataBuffers> {
-        self.buffers.as_ref()
-    }
-
-    /// The DRAM model.
-    pub fn dram(&self) -> &Dram {
-        &self.dram
-    }
-
     /// Energy for one level's traffic.
     ///
     /// # Panics

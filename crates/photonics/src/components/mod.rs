@@ -24,7 +24,6 @@ pub mod delay_line;
 pub mod laser;
 pub mod lens;
 pub mod mrr;
-pub mod nonlinear;
 pub mod photodetector;
 pub mod slow_light;
 pub mod y_junction;
@@ -34,7 +33,6 @@ pub use delay_line::DelayLine;
 pub use laser::Laser;
 pub use lens::Lens;
 pub use mrr::Mrr;
-pub use nonlinear::NonlinearMaterial;
 pub use photodetector::Photodetector;
 pub use slow_light::SlowLightDelayLine;
 pub use y_junction::YJunction;

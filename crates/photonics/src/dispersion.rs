@@ -11,6 +11,11 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Maximum number of wavelengths a shared photodetector can capture
+/// (§4.2.3: "our simulation suggests the number of wavelengths should be
+/// less than 4"); ReFOCUS uses `N_λ = 2`.
+pub const MAX_WAVELENGTHS: usize = 3;
+
 /// Relative spatial-scale error between adjacent WDM channels at the
 /// output plane. Calibrated so the feasibility rule reproduces the paper's
 /// `N_λ < 4` simulation result on a 256-waveguide plane.
@@ -76,9 +81,8 @@ mod tests {
         let n = max_feasible_wavelengths(256, DEFAULT_CHANNEL_DELTA);
         assert_eq!(n, 3, "feasible wavelengths = {n}");
         assert_eq!(
-            n,
-            crate::wdm::MAX_WAVELENGTHS,
-            "the WDM bus limit must match the dispersion rule"
+            n, MAX_WAVELENGTHS,
+            "the wavelength limit must match the dispersion rule"
         );
     }
 

@@ -9,14 +9,14 @@
 //!   (radix-2 + Bluestein), and reference convolution/correlation.
 //! * [`components`] — behavioural + cost models of every photonic component
 //!   in the paper's Table 6 (MRR, Y-junction, delay line, laser,
-//!   photodetector, lens, nonlinear material) and the 8-bit data converters.
+//!   photodetector, lens) and the 8-bit data converters.
 //! * [`jtc`] — the Joint Transform Correlator field simulation: input plane
 //!   → lens → square-law nonlinearity → lens → photodetectors, validated
-//!   against direct correlation.
+//!   against direct correlation. Its detector sums passes — temporal
+//!   accumulation and WDM channels alike — before one lens-2 transform.
 //! * [`buffer`] — the feedback / feedforward optical buffers that let
 //!   ReFOCUS reuse light (paper Eq. 2–4, Table 5).
-//! * [`wdm`] — wavelength-division multiplexing with shared lenses and
-//!   detector-level channel accumulation.
+//! * [`dispersion`] — WDM channel walk-off and the `N_λ < 4` rule.
 //! * [`noise`] — seeded shot/thermal/relative noise injection (§7.2).
 //! * [`faults`] — structural device-fault models (stuck MRR taps, dead
 //!   detector pixels, laser drift) composing with [`noise`].
@@ -49,10 +49,8 @@ pub mod jtc;
 pub mod noise;
 pub mod signal;
 pub mod units;
-pub mod wdm;
 
 pub use buffer::{FeedbackBuffer, FeedforwardBuffer};
 pub use complex::Complex64;
 pub use faults::{FaultInjector, FaultSpec};
 pub use jtc::{Jtc, JtcError, JtcOutput};
-pub use wdm::WdmBus;

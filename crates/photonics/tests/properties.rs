@@ -9,7 +9,6 @@ use refocus_photonics::signal::{
     circular_convolve, convolve_direct, convolve_fft, correlate, max_abs_diff, zero_pad,
 };
 use refocus_photonics::units::{Decibels, GigaHertz};
-use refocus_photonics::wdm::WdmBus;
 
 fn signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.0..1.0f64, 1..max_len)
@@ -145,14 +144,18 @@ proptest! {
         s0 in prop::collection::vec(0.0..1.0f64, 8..24),
         k in prop::collection::vec(0.0..1.0f64, 3..4),
     ) {
-        // Duplicate channel: accumulated output must be exactly 2x one channel.
-        let bus = WdmBus::new(2).unwrap();
+        // Duplicate channel: the shared detector must read exactly 2x one
+        // channel.
         let jtc = Jtc::ideal();
         let single = jtc.correlate(&s0, &k).unwrap();
-        let acc = bus
-            .correlate_accumulate(&jtc, &[(s0.clone(), k.clone()), (s0.clone(), k.clone())])
-            .unwrap();
-        for (a, b) in acc.iter().zip(single.valid()) {
+        let g = jtc.plane_geometry(s0.len(), k.len()).unwrap();
+        let signal = jtc.signal_spectrum(g, &s0).unwrap();
+        let kernel = jtc.kernel_spectrum(g, &k).unwrap();
+        let mut detector = jtc.detector(g);
+        for _ in 0..2 {
+            detector.add(&signal, &kernel, 1.0);
+        }
+        for (a, b) in detector.read_valid().iter().zip(single.valid()) {
             prop_assert!((a - 2.0 * b).abs() < 1e-7);
         }
     }

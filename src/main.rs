@@ -317,7 +317,8 @@ fn run_fault_study(opts: FaultStudy) -> Result<bool, String> {
     let report = result.map_err(|e| format!("campaign failed: {e}"))?;
 
     if opts.json {
-        return print_json(serde_json::to_string_pretty(&report));
+        print_json(serde_json::to_string_pretty(&report))?;
+        return Ok(report.is_complete());
     }
     let mut t = Table::new(
         "output error vs fault severity (ReFOCUS-FB conv path)",

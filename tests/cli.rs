@@ -2,6 +2,7 @@
 //! library computes, and bad invocations exit 1 with a message instead
 //! of panicking.
 
+use refocus::arch::campaign::CampaignReport;
 use refocus::arch::config::AcceleratorConfig;
 use refocus::arch::simulator::{simulate, Report};
 use refocus::experiments::{experiment_by_id, fault_study};
@@ -74,6 +75,22 @@ fn fault_study_resumes_to_the_uninterrupted_report() {
 
     let diff = refocus(&["obs", "diff", summary, summary]);
     assert_eq!(diff.status.code(), Some(0), "{}", stdout(&diff));
+}
+
+#[test]
+fn incomplete_fault_study_json_exits_1() {
+    let journal = scratch("cli-fault-study-json.jsonl");
+    let partial = refocus(&[
+        "fault-study",
+        "--json",
+        "--checkpoint",
+        journal.to_str().unwrap(),
+        "--max-cells",
+        "3",
+    ]);
+    assert_eq!(partial.status.code(), Some(1), "{}", stderr(&partial));
+    let report: CampaignReport = serde_json::from_str(stdout(&partial)).unwrap();
+    assert!(!report.skipped.is_empty());
 }
 
 #[test]

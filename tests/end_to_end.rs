@@ -161,22 +161,20 @@ fn schedule_perf_and_energy_agree_on_generation_cycles() {
 }
 
 #[test]
-fn wdm_bus_and_jtc_compose_with_tiling() {
-    // Two channels through one WDM-shared JTC equal the digital sum of two
-    // per-channel valid correlations on tiled rows.
-    use refocus::photonics::wdm::WdmBus;
-
-    let bus = WdmBus::refocus();
+fn wdm_detector_sum_and_jtc_compose_with_tiling() {
+    // Two WDM channels summed at one shared photodetector equal the digital
+    // sum of two per-channel valid correlations on tiled rows.
     let jtc = Jtc::ideal();
     let rows_a: Vec<f64> = (0..64).map(|i| ((i * 13) % 7) as f64 / 7.0).collect();
     let rows_b: Vec<f64> = (0..64).map(|i| ((i * 5) % 11) as f64 / 11.0).collect();
     let k = vec![0.25, 0.5, 0.25];
-    let acc = bus
-        .correlate_accumulate(
-            &jtc,
-            &[(rows_a.clone(), k.clone()), (rows_b.clone(), k.clone())],
-        )
-        .unwrap();
+    let g = jtc.plane_geometry(64, k.len()).unwrap();
+    let kernel = jtc.kernel_spectrum(g, &k).unwrap();
+    let mut detector = jtc.detector(g);
+    for rows in [&rows_a, &rows_b] {
+        detector.add(&jtc.signal_spectrum(g, rows).unwrap(), &kernel, 1.0);
+    }
+    let acc = detector.read_valid();
     let want: Vec<f64> = refocus::photonics::signal::correlate_valid(&rows_a, &k)
         .iter()
         .zip(refocus::photonics::signal::correlate_valid(&rows_b, &k))
