@@ -19,7 +19,6 @@
 use crate::checkpoint::Checkpoint;
 use crate::error::{FailureKind, SimError};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -40,17 +39,20 @@ pub enum SkipReason {
 ///
 /// Bounds are checked *between* items — an item that has started always
 /// runs to completion (or failure), so budget enforcement never tears a
-/// measurement. Which items land beyond a bound depends on scheduling,
-/// but item *values* never do; a later resume from the journal completes
-/// the remainder bit-identically.
+/// measurement. The cell quota admits the same items on every run; which
+/// items land beyond the deadline depends on scheduling, but item
+/// *values* never do; a later resume from the journal completes the
+/// remainder bit-identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunBudget {
     /// Wall-clock deadline for the whole invocation. Items not started
     /// before it passes are recorded as skipped.
     pub max_wall_clock: Option<Duration>,
     /// Maximum number of *freshly computed* items this invocation may
-    /// run (journaled items replayed from a checkpoint are free). Lets a
-    /// caller run "N more cells" incrementally against one journal.
+    /// run (journaled items replayed from a checkpoint are free): the
+    /// first N items, in grid order, that the journal does not hold.
+    /// Lets a caller run "N more cells" incrementally against one
+    /// journal.
     pub max_cells: Option<usize>,
     /// How many times a transient failure ([`SimError::is_transient`])
     /// is retried before the item is recorded as failed.
@@ -140,7 +142,22 @@ where
     T: Clone + Send + Serialize + Deserialize,
 {
     let deadline = budget.max_wall_clock.map(|limit| Instant::now() + limit);
-    let fresh = AtomicUsize::new(0);
+    // Rank the items the journal does not hold in grid order, before any
+    // worker starts, so the quota admits the same items at every thread
+    // count. Journaled items replay before the quota is consulted.
+    let admitted: Option<Vec<bool>> = budget.max_cells.map(|max| {
+        let mut fresh = 0;
+        items
+            .iter()
+            .map(|item| {
+                if journal.as_ref().is_some_and(|j| j.contains(&key(item))) {
+                    return true;
+                }
+                fresh += 1;
+                fresh <= max
+            })
+            .collect()
+    });
     let journal = journal.map(Mutex::new);
 
     refocus_par::par_map_indexed(items, |index, item| {
@@ -156,11 +173,9 @@ where
             refocus_obs::counter("grid.skipped", 1);
             return Outcome::Skipped(SkipReason::Deadline);
         }
-        if let Some(max) = budget.max_cells {
-            if fresh.fetch_add(1, Ordering::Relaxed) >= max {
-                refocus_obs::counter("grid.skipped", 1);
-                return Outcome::Skipped(SkipReason::CellLimit);
-            }
+        if admitted.as_ref().is_some_and(|admitted| !admitted[index]) {
+            refocus_obs::counter("grid.skipped", 1);
+            return Outcome::Skipped(SkipReason::CellLimit);
         }
 
         let mut attempt = 0u32;
@@ -197,7 +212,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -327,6 +342,50 @@ mod tests {
             assert_eq!(journal.len(), 5);
             let _ = std::fs::remove_file(&path);
         }
+    }
+
+    #[test]
+    fn quota_admits_the_first_fresh_items_in_grid_order() {
+        // Reversed, so grid order differs from key order; items 5 and 3
+        // (the first and third in the grid) are already journaled.
+        let items: Vec<u64> = (0..6).rev().collect();
+        let done = at_every_thread_count(|| {
+            let path = scratch("quota-order");
+            let mut journal = Checkpoint::create(&path, "grid-test").expect("journal creates");
+            journal.append("5", 50).expect("append");
+            journal.append("3", 30).expect("append");
+            let got = run(
+                "test.cell",
+                &items,
+                key,
+                tenfold,
+                &RunBudget::strict().with_max_cells(2),
+                Some(&mut journal),
+            );
+            let _ = std::fs::remove_file(&path);
+            items
+                .iter()
+                .zip(&got)
+                .filter(|(_, o)| matches!(o, Outcome::Done(_)))
+                .map(|(x, _)| key(x))
+                .collect::<Vec<_>>()
+        });
+        // The two replays plus the first two fresh items, 4 and 2.
+        assert_eq!(done, ["5", "4", "3", "2"]);
+        // Without a journal the rank is the grid index.
+        let got = at_every_thread_count(|| {
+            run(
+                "test.cell",
+                &items,
+                key,
+                tenfold,
+                &RunBudget::strict().with_max_cells(2),
+                None,
+            )
+        });
+        let mut want: Vec<Outcome<u64>> = vec![Outcome::Done(50), Outcome::Done(40)];
+        want.resize_with(6, || Outcome::Skipped(SkipReason::CellLimit));
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -185,10 +185,7 @@ impl TilingPlan {
         let valid_rows_per_pass = (rows_per_pass - kernel) / stride + 1;
         let passes = output_rows.div_ceil(valid_rows_per_pass) * kernel_chunks;
         // Only real (non-padding) samples cost DAC conversions.
-        let data_cols = match mode {
-            TilingMode::Exact => w, // horizontal conv padding is zeros too
-            TilingMode::Approximate => w,
-        };
+        let data_cols = w; // horizontal conv padding is zeros too
         Ok(Self {
             mode,
             row_len,

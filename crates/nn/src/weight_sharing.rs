@@ -227,17 +227,27 @@ impl SharedWeights {
         }
     }
 
-    /// Compression ratio vs. `bits`-wide dense weights: raw
-    /// `elems·bits` per kernel vs. `log2(codebook)` index + `bits` scale
-    /// (codebook storage amortized over the kernels).
+    /// Compression ratio vs. `bits`-wide dense weights; see
+    /// [`compression_ratio`].
     pub fn compression_ratio(&self, bits: u32) -> f64 {
         let kernels: usize = self.assignments.iter().map(Vec::len).sum();
-        let raw_bits = kernels as f64 * self.kernel_elems as f64 * bits as f64;
-        let index_bits = (self.codebook.len() as f64).log2().ceil().max(1.0);
-        let codebook_bits = self.codebook.len() as f64 * self.kernel_elems as f64 * bits as f64;
-        let shared_bits = kernels as f64 * (index_bits + bits as f64) + codebook_bits;
-        raw_bits / shared_bits
+        compression_ratio(kernels, self.kernel_elems, self.codebook.len(), bits)
     }
+}
+
+/// Compression ratio of `kernels` shared kernels of `kernel_elems` weights
+/// each vs. `bits`-wide dense weights: raw `kernel_elems·bits` per kernel
+/// vs. a `log2(codebook)` index + `bits` scale, with the `codebook`
+/// centroids' storage amortized over the kernels.
+///
+/// This is a storage count: it does not depend on what the clustering
+/// found, only on how many kernels and codebook entries there are.
+pub fn compression_ratio(kernels: usize, kernel_elems: usize, codebook: usize, bits: u32) -> f64 {
+    let raw_bits = kernels as f64 * kernel_elems as f64 * bits as f64;
+    let index_bits = (codebook as f64).log2().ceil().max(1.0);
+    let codebook_bits = codebook as f64 * kernel_elems as f64 * bits as f64;
+    let shared_bits = kernels as f64 * (index_bits + bits as f64) + codebook_bits;
+    raw_bits / shared_bits
 }
 
 /// Centroids scored together in one block of [`assign_nearest`].
@@ -422,6 +432,42 @@ mod tests {
         let shared = SharedWeights::cluster(&w, 256, 1, 5).unwrap();
         let ratio = shared.compression_ratio(8);
         assert!(ratio > 4.0, "ratio = {ratio}");
+    }
+
+    #[test]
+    fn closed_form_ratio_is_the_clustered_ratio() {
+        // §7.3's 128x128 layer of 3x3 kernels against a 256-entry codebook:
+        // the closed form is the same f64 as counting a real clustering.
+        let w = Tensor4::random(128, 128, 3, 3, -1.0, 1.0, 7);
+        let shared = SharedWeights::cluster(&w, 256, 2, 11).unwrap();
+        let ratio = compression_ratio(128 * 128, 9, 256, 8);
+        assert_eq!(ratio.to_bits(), shared.compression_ratio(8).to_bits());
+        assert_eq!(ratio.to_bits(), 0x4010_d148_e03b_cbae, "ratio = {ratio}");
+    }
+
+    #[test]
+    fn shared_weights_are_bit_identical_to_parent() {
+        // The compression ratio sees only the codebook size, not what
+        // k-means found, so pin the clustering itself: an FNV-1a hash of
+        // every assignment, scale and codebook value, captured before the
+        // nearest-centroid scan moved to its blocked form.
+        let weights = Tensor4::random(128, 128, 3, 3, -1.0, 1.0, 7);
+        let shared = SharedWeights::cluster(&weights, 256, 2, 11).expect("clusterable");
+        let shared = &shared;
+        let scales = (0..128).flat_map(|o| (0..128).map(move |i| shared.scale(o, i)));
+        let words = shared
+            .assignments()
+            .iter()
+            .flatten()
+            .map(|&a| a as u64)
+            .chain(scales.map(f64::to_bits))
+            .chain(shared.codebook().iter().flatten().map(|c| c.to_bits()));
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for byte in words.flat_map(u64::to_le_bytes) {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+        assert_eq!(hash, 0xefd2_0b6f_06f3_ce21);
     }
 
     #[test]
