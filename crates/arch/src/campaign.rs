@@ -14,6 +14,13 @@
 //! sanity check, exposed as
 //! [`CampaignReport::errors_monotone_in_severity`].
 //!
+//! Every cell runs the same input through the same weights, so a run
+//! computes the layer's clean lens-1 spectra once and shares them with
+//! the reference conv and every cell, the way the optical buffer replays
+//! light that was generated once (§4.1). A cell transforms only the
+//! kernels its stuck taps change; its results are bit-identical to
+//! [`OpticalExecutor::conv2d`] under the same injector.
+//!
 //! # Resilient execution
 //!
 //! Cells run on the [`grid`] core, which gives each (severity, seed)
@@ -39,10 +46,12 @@
 use crate::checkpoint::Checkpoint;
 use crate::config::AcceleratorConfig;
 use crate::error::{FailureKind, SimError};
-use crate::functional::OpticalExecutor;
+use crate::functional::{CleanSpectra, FunctionalError, OpticalExecutor};
 use crate::grid::{self, Outcome};
 pub use crate::grid::{RunBudget, SkipReason};
+use refocus_nn::conv::ConvError;
 use refocus_nn::tensor::{Tensor3, Tensor4};
+use refocus_nn::tiling::{RowSchedule, TilingError, TilingMode};
 use refocus_photonics::faults::{FaultInjector, FaultSpec};
 use refocus_photonics::jtc::Jtc;
 use serde::{Deserialize, Serialize};
@@ -85,6 +94,32 @@ impl Default for Workload {
 }
 
 impl Workload {
+    /// Checks that the layer has no empty dimension and tiles onto
+    /// `config`'s JTC, before any tensor is built.
+    fn validate(&self, config: &AcceleratorConfig) -> Result<(), TilingError> {
+        let empty = [
+            (self.in_channels, "zero input channels"),
+            (self.out_channels, "zero output channels"),
+            (self.height, "zero input height"),
+            (self.width, "zero input width"),
+        ];
+        if let Some(&(_, what)) = empty.iter().find(|(n, _)| *n == 0) {
+            return Err(TilingError::BadOperand(what));
+        }
+        let pad = self.padding.saturating_mul(2);
+        RowSchedule::new(
+            (
+                self.height.saturating_add(pad),
+                self.width.saturating_add(pad),
+            ),
+            (self.kernel, self.kernel),
+            config.tile,
+            TilingMode::Exact,
+            self.stride,
+        )
+        .map(|_| ())
+    }
+
     fn input(&self) -> Tensor3 {
         Tensor3::random(
             self.in_channels,
@@ -390,7 +425,9 @@ impl FaultCampaign {
     ///
     /// Returns [`SimError::Config`] for an invalid accelerator
     /// configuration, [`SimError::Fault`] for an out-of-range fault
-    /// spec or non-finite/negative severity, and propagates a failure
+    /// spec or non-finite/negative severity, [`SimError::Tiling`] naming
+    /// the cause for a workload with an empty dimension, a zero stride or
+    /// a layer that does not tile onto the JTC, and propagates a failure
     /// of the fault-free reference convolution (without which no cell
     /// can be measured).
     pub fn run(&self) -> Result<CampaignReport, SimError> {
@@ -467,16 +504,21 @@ impl FaultCampaign {
             self.spec.scaled(severity).validate()?;
         }
 
-        let input = self.workload.input();
-        let weights = self.workload.weights();
+        self.workload.validate(&self.config)?;
+
+        // The clean light is shared by the reference and every cell, and
+        // dropped with the run.
         let clean = OpticalExecutor::new(&self.config, Jtc::ideal());
-        let reference = clean
-            .conv2d(
-                &input,
-                &weights,
+        let spectra = clean
+            .clean_spectra(
+                &self.workload.input(),
+                &self.workload.weights(),
                 self.workload.stride,
                 self.workload.padding,
             )
+            .map_err(sim_error_from_functional)?;
+        let reference = clean
+            .conv2d_with_spectra(&spectra)
             .map_err(sim_error_from_functional)?;
         let reference_peak = reference.data().iter().fold(0.0f64, |m, v| m.max(v.abs()));
 
@@ -500,7 +542,7 @@ impl FaultCampaign {
                 let _attempt = refocus_obs::span_with("campaign.cell.attempt", || {
                     format!("severity={severity} seed={seed} attempt={attempt}")
                 });
-                self.run_cell(severity, seed, attempt, &input, &weights, &reference)
+                self.run_cell(severity, seed, attempt, &spectra, &reference)
             },
             budget,
             journal,
@@ -587,8 +629,7 @@ impl FaultCampaign {
         severity: f64,
         seed: u64,
         attempt: u32,
-        input: &Tensor3,
-        weights: &Tensor4,
+        spectra: &CleanSpectra,
         reference: &Tensor3,
     ) -> Result<CampaignCell, SimError> {
         let chaos = self.chaos.point_for(severity, seed);
@@ -607,7 +648,7 @@ impl FaultCampaign {
         let injector = FaultInjector::new(scaled, seed).with_reserved_epochs(u64::from(attempt));
         let exec = OpticalExecutor::new(&self.config, Jtc::ideal()).with_faults(injector);
         let faulted = exec
-            .conv2d(input, weights, self.workload.stride, self.workload.padding)
+            .conv2d_with_spectra(spectra)
             .map_err(sim_error_from_functional)?;
         let (mut max_abs, rms) = error_stats(&faulted, reference);
         if poisoned {
@@ -631,18 +672,24 @@ fn cell_key(severity: f64, seed: u64) -> String {
     format!("{:016x}:{seed}", severity.to_bits())
 }
 
-fn sim_error_from_functional(e: crate::functional::FunctionalError) -> SimError {
+/// Maps an executor error to the campaign's, keeping its cause: a shape
+/// error becomes the [`TilingError`] that names it.
+fn sim_error_from_functional(e: FunctionalError) -> SimError {
     match e {
-        crate::functional::FunctionalError::Tiling(t) => SimError::Tiling(t),
-        crate::functional::FunctionalError::NonFinite { stage, index } => {
-            SimError::NonFinite { stage, index }
+        FunctionalError::Tiling(t) => SimError::Tiling(t),
+        FunctionalError::NonFinite { stage, index } => SimError::NonFinite { stage, index },
+        FunctionalError::Shape(ConvError::KernelTooLarge { .. }) => {
+            SimError::Tiling(TilingError::KernelTooLarge)
         }
-        // Negative activations / shape mismatches cannot arise from the
-        // non-negative random workload; map them through the tiling
-        // variant's BadOperand for completeness.
-        _ => SimError::Tiling(refocus_nn::tiling::TilingError::BadOperand(
-            "campaign workload rejected by functional executor",
-        )),
+        FunctionalError::Shape(ConvError::ZeroStride) => {
+            SimError::Tiling(TilingError::BadOperand("zero stride"))
+        }
+        FunctionalError::Shape(ConvError::ChannelMismatch { .. }) => SimError::Tiling(
+            TilingError::BadOperand("input and weight channel counts differ"),
+        ),
+        FunctionalError::NegativeActivation => {
+            SimError::Tiling(TilingError::BadOperand("negative activation"))
+        }
     }
 }
 
@@ -762,6 +809,71 @@ mod tests {
             .run()
             .expect_err("zero tile must be rejected");
         assert!(matches!(err, SimError::Config(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn degenerate_workloads_are_typed_errors_naming_their_cause() {
+        let base = small_campaign().workload;
+        let cases = [
+            (
+                "zero input channels",
+                Workload {
+                    in_channels: 0,
+                    ..base
+                },
+            ),
+            (
+                "zero output channels",
+                Workload {
+                    out_channels: 0,
+                    ..base
+                },
+            ),
+            ("zero input height", Workload { height: 0, ..base }),
+            ("zero stride", Workload { stride: 0, ..base }),
+            (
+                "kernel larger than input",
+                Workload {
+                    kernel: 9,
+                    padding: 0,
+                    ..base
+                },
+            ),
+        ];
+        for (cause, workload) in cases {
+            let run = std::panic::catch_unwind(|| small_campaign().with_workload(workload).run());
+            let err = run
+                .unwrap_or_else(|_| panic!("{cause}: the campaign panicked"))
+                .expect_err(cause);
+            assert!(matches!(err, SimError::Tiling(_)), "{cause}: got {err:?}");
+            assert!(err.to_string().contains(cause), "{cause}: got {err}");
+        }
+    }
+
+    #[test]
+    fn executor_shape_errors_keep_their_cause() {
+        let cases = [
+            (ConvError::ZeroStride, "zero stride"),
+            (
+                ConvError::KernelTooLarge {
+                    input: (4, 4),
+                    kernel: (5, 5),
+                },
+                "kernel larger than input",
+            ),
+            (
+                ConvError::ChannelMismatch {
+                    input: 2,
+                    weights: 3,
+                },
+                "channel counts differ",
+            ),
+        ];
+        for (shape, cause) in cases {
+            let err = sim_error_from_functional(FunctionalError::Shape(shape));
+            assert!(matches!(err, SimError::Tiling(_)), "{cause}: got {err:?}");
+            assert!(err.to_string().contains(cause), "{cause}: got {err}");
+        }
     }
 
     #[test]

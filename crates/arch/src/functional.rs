@@ -23,8 +23,10 @@ use refocus_nn::tiling::{tiled_conv2d_strided_with, RowSchedule, TilingError, Ti
 use refocus_photonics::buffer::FeedbackBuffer;
 use refocus_photonics::faults::FaultInjector;
 use refocus_photonics::jtc::{DetectorSum, Jtc, PlaneGeometry, Spectrum};
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Errors from functional execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,13 +181,7 @@ impl OpticalExecutor {
         stride: usize,
         padding: usize,
     ) -> Result<Tensor3, FunctionalError> {
-        // Reserving the epoch is the only sequential fault-state step;
-        // everything downstream is a pure function of (seed, epoch, o).
-        let epoch = self
-            .faults
-            .as_ref()
-            .map_or(0, |f| f.borrow_mut().reserve_epochs(1));
-        let snapshot: Option<FaultInjector> = self.faults.as_ref().map(|f| f.borrow().clone());
+        let (epoch, snapshot) = self.reserve_epochs(1);
         let (out, passes) = Self::conv2d_core(
             &self.jtc,
             self.tile,
@@ -200,14 +196,68 @@ impl OpticalExecutor {
         Ok(out)
     }
 
+    /// Lays `conv2d(input, weights, stride, padding)` out on this
+    /// executor's JTC and computes its clean lens-1 light once: the signal
+    /// spectrum of each (input channel, pass) and the kernel operand and
+    /// spectrum of each (o, i, half, kernel slot). Any number of
+    /// [`Self::conv2d_with_spectra`] calls, faulted or not, then share it.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Self::conv2d`].
+    pub(crate) fn clean_spectra(
+        &self,
+        input: &Tensor3,
+        weights: &Tensor4,
+        stride: usize,
+        padding: usize,
+    ) -> Result<CleanSpectra, FunctionalError> {
+        let layer = Layer::new(&self.jtc, self.tile, input, weights, stride, padding)?;
+        Ok(CleanSpectra::new(&self.jtc, layer))
+    }
+
+    /// [`Self::conv2d`] of the layer `spectra` was built for, with the
+    /// same result bit for bit, reusing its clean light: signal spectra
+    /// are read from `spectra`, and a kernel spectrum is borrowed whenever
+    /// the attached stuck taps leave its operand unchanged. Reserves one
+    /// fault epoch, as [`Self::conv2d`] does.
+    ///
+    /// # Errors
+    ///
+    /// [`FunctionalError::NonFinite`] if the firewall trips.
+    pub(crate) fn conv2d_with_spectra(
+        &self,
+        spectra: &CleanSpectra,
+    ) -> Result<Tensor3, FunctionalError> {
+        let (epoch, snapshot) = self.reserve_epochs(1);
+        let (out, passes) = run_layer(
+            &self.jtc,
+            &spectra.layer,
+            snapshot.as_ref(),
+            epoch,
+            Some(spectra),
+        )?;
+        self.passes.set(self.passes.get() + passes);
+        Ok(out)
+    }
+
+    /// Reserves `count` fan-out epochs on the attached fault model and
+    /// snapshots it. Reserving is the only sequential fault-state step;
+    /// everything downstream is a pure function of (seed, epoch, o).
+    fn reserve_epochs(&self, count: u64) -> (u64, Option<FaultInjector>) {
+        match &self.faults {
+            Some(faults) => {
+                let epoch = faults.borrow_mut().reserve_epochs(count);
+                (epoch, Some(faults.borrow().clone()))
+            }
+            None => (0, None),
+        }
+    }
+
     /// The cell-free convolution kernel shared by [`OpticalExecutor::conv2d`]
     /// and [`OpticalExecutor::conv2d_with_feedback_reuse`]: no interior
     /// mutability, so per-channel workers can run on pool threads. Returns
     /// the output tensor and the number of optical passes performed.
-    ///
-    /// Rows tile in [`TilingMode::Exact`], which keeps the functional
-    /// result bit-identical to the digital reference irrespective of
-    /// column bookkeeping.
     #[allow(clippy::too_many_arguments)]
     fn conv2d_core(
         jtc: &Jtc,
@@ -219,145 +269,8 @@ impl OpticalExecutor {
         faults: Option<&FaultInjector>,
         epoch: u64,
     ) -> Result<(Tensor3, u64), FunctionalError> {
-        if input.data().iter().any(|&v| v < 0.0) {
-            return Err(FunctionalError::NegativeActivation);
-        }
-        if stride == 0 {
-            return Err(FunctionalError::Shape(ConvError::ZeroStride));
-        }
-        if input.channels() != weights.in_channels() {
-            return Err(FunctionalError::Shape(ConvError::ChannelMismatch {
-                input: input.channels(),
-                weights: weights.in_channels(),
-            }));
-        }
-
-        let _conv = refocus_obs::span_with("conv2d", || {
-            format!(
-                "in={}x{}x{} out_ch={}",
-                input.channels(),
-                input.height(),
-                input.width(),
-                weights.out_channels()
-            )
-        });
-        let split = PseudoNegativeSplit::of(weights);
-        let padded = input.pad_spatial(padding);
-        let (kh, kw) = (weights.kernel_h(), weights.kernel_w());
-        if kh > padded.height() || kw > padded.width() {
-            return Err(FunctionalError::Shape(ConvError::KernelTooLarge {
-                input: (padded.height(), padded.width()),
-                kernel: (kh, kw),
-            }));
-        }
-
-        // Row extraction is identical for every output channel; hoist it
-        // out of the fan-out instead of repeating it per (o, i).
-        let channel_rows: Vec<Vec<Vec<f64>>> = (0..input.channels())
-            .map(|i| padded.channel_rows(i).iter().map(|r| r.to_vec()).collect())
-            .collect();
-
-        let schedule = RowSchedule::new(
-            (padded.height(), padded.width()),
-            (kh, kw),
-            tile,
-            TilingMode::Exact,
-            stride,
-        )?;
-        let geometries: Vec<PlaneGeometry> = schedule
-            .passes()
-            .iter()
-            .map(|pass| {
-                let (signal_len, kernel_len) = schedule.operand_lens(pass);
-                jtc.plane_geometry(signal_len, kernel_len)
-                    .expect("a scheduled pass has non-empty operands")
-            })
-            .collect();
-        let (out_h, out_w) = schedule.output_hw();
-
-        // A transparent injector changes nothing, so it takes the clean
-        // path untouched.
-        let faults = faults.filter(|f| !f.is_transparent());
-        // With no converter and no noise, a pass differs from the others
-        // only in its light and in faults that are linear in it: lens 1
-        // and lens 2 are linear, so passes may share spectra and detector
-        // sums.
-        let results = if !jtc.has_converters() && !faults.is_some_and(FaultInjector::has_noise) {
-            let faults = faults.map(|injector| {
-                SpectralFaults::new(
-                    injector,
-                    epoch,
-                    weights.out_channels(),
-                    input.channels(),
-                    schedule.passes().len(),
-                )
-            });
-            spectral_channels(
-                jtc,
-                &schedule,
-                &geometries,
-                &channel_rows,
-                &split,
-                faults.as_ref(),
-            )
-        } else {
-            let channels: Vec<usize> = (0..weights.out_channels()).collect();
-            refocus_par::par_map(&channels, |&o| {
-                // One span per output-channel worker: this is the unit the
-                // row-tiling fan-out distributes over pool threads.
-                let _chan = refocus_obs::span_with("conv2d.channel", || format!("oc={o}"));
-                let mut worker_faults = faults.map(|f| f.for_work_item(epoch, o as u64));
-                let mut local_passes = 0u64;
-                // Accumulate positive and negative halves over channels.
-                let mut pos = vec![vec![0.0; out_w]; out_h];
-                let mut neg = vec![vec![0.0; out_w]; out_h];
-                for (i, rows) in channel_rows.iter().enumerate() {
-                    for (half, acc) in [
-                        (split.positive.kernel(o, i), &mut pos),
-                        (split.negative.kernel(o, i), &mut neg),
-                    ] {
-                        let partial = tiled_conv2d_strided_with(
-                            rows,
-                            &half,
-                            tile,
-                            TilingMode::Exact,
-                            stride,
-                            |s, k| {
-                                local_passes += 1;
-                                let out = match worker_faults.as_mut() {
-                                    Some(fi) => jtc.correlate_with_faults(s, k, fi),
-                                    None => jtc.correlate(s, k),
-                                }
-                                .expect("scheduled operands are non-empty and non-negative");
-                                out.valid().to_vec()
-                            },
-                        )?;
-                        for (ar, pr) in acc.iter_mut().zip(&partial) {
-                            for (a, p) in ar.iter_mut().zip(pr) {
-                                *a += p;
-                            }
-                        }
-                    }
-                }
-                Ok((recombine(&pos, &neg)?, local_passes))
-            })
-        };
-
-        let mut out = Tensor3::zeros(weights.out_channels(), out_h, out_w);
-        let mut total_passes = 0u64;
-        for (o, result) in results.into_iter().enumerate() {
-            // First error in channel order — deterministic regardless of
-            // which worker hit it first on the wall clock.
-            let (flat, local_passes) = result?;
-            total_passes += local_passes;
-            refocus_obs::counter("conv2d.optical_passes", local_passes);
-            for oy in 0..out_h {
-                for ox in 0..out_w {
-                    out.set(o, oy, ox, flat[oy * out_w + ox]);
-                }
-            }
-        }
-        Ok((out, total_passes))
+        let layer = Layer::new(jtc, tile, input, weights, stride, padding)?;
+        run_layer(jtc, &layer, faults, epoch, None)
     }
 
     /// Like [`OpticalExecutor::conv2d`], but models the feedback buffer's
@@ -383,11 +296,7 @@ impl OpticalExecutor {
         // One epoch per single-filter convolution — the same reservation
         // the serial per-filter conv2d calls would have made, so fault
         // streams agree between this path and a filter-at-a-time run.
-        let first_epoch = self
-            .faults
-            .as_ref()
-            .map_or(0, |f| f.borrow_mut().reserve_epochs(out_channels as u64));
-        let snapshot: Option<FaultInjector> = self.faults.as_ref().map(|f| f.borrow().clone());
+        let (first_epoch, snapshot) = self.reserve_epochs(out_channels as u64);
         let (jtc, tile) = (&self.jtc, self.tile);
 
         let channels: Vec<usize> = (0..out_channels).collect();
@@ -445,6 +354,295 @@ impl OpticalExecutor {
         }
         self.passes.set(self.passes.get() + total_passes);
         Ok(out.expect("at least one output filter"))
+    }
+}
+
+/// One conv layer laid out on the JTC: its pseudo-negative halves, padded
+/// input rows, row schedule and plane geometries. Built once per layer;
+/// [`CleanSpectra`] keeps it for every conv that reuses its light.
+#[derive(Debug)]
+struct Layer {
+    /// Unpadded input height and width (for the `conv2d` span label).
+    input_hw: (usize, usize),
+    tile: usize,
+    stride: usize,
+    split: PseudoNegativeSplit,
+    /// Padded rows of each input channel.
+    channel_rows: Vec<Vec<Vec<f64>>>,
+    schedule: RowSchedule,
+    /// The plane geometry of each pass.
+    geometries: Vec<PlaneGeometry>,
+    /// The kernel slot of each pass. A kernel spectrum depends on the
+    /// kernel rows and the plane size only, so passes that agree on both
+    /// share a slot, and one spectrum per (o, i, half).
+    kernel_slot: Vec<usize>,
+    /// The first pass of each kernel slot.
+    slot_pass: Vec<usize>,
+}
+
+impl Layer {
+    /// Lays out `conv2d(input, weights, stride, padding)` on `tile`
+    /// waveguides in [`TilingMode::Exact`], which keeps the functional
+    /// result bit-identical to the digital reference irrespective of
+    /// column bookkeeping.
+    fn new(
+        jtc: &Jtc,
+        tile: usize,
+        input: &Tensor3,
+        weights: &Tensor4,
+        stride: usize,
+        padding: usize,
+    ) -> Result<Self, FunctionalError> {
+        if input.data().iter().any(|&v| v < 0.0) {
+            return Err(FunctionalError::NegativeActivation);
+        }
+        if stride == 0 {
+            return Err(FunctionalError::Shape(ConvError::ZeroStride));
+        }
+        if input.channels() != weights.in_channels() {
+            return Err(FunctionalError::Shape(ConvError::ChannelMismatch {
+                input: input.channels(),
+                weights: weights.in_channels(),
+            }));
+        }
+        let padded = input.pad_spatial(padding);
+        let (kh, kw) = (weights.kernel_h(), weights.kernel_w());
+        if kh > padded.height() || kw > padded.width() {
+            return Err(FunctionalError::Shape(ConvError::KernelTooLarge {
+                input: (padded.height(), padded.width()),
+                kernel: (kh, kw),
+            }));
+        }
+        // Row extraction is identical for every output channel; hoist it
+        // out of the fan-out instead of repeating it per (o, i).
+        let channel_rows: Vec<Vec<Vec<f64>>> = (0..input.channels())
+            .map(|i| padded.channel_rows(i).iter().map(|r| r.to_vec()).collect())
+            .collect();
+        let schedule = RowSchedule::new(
+            (padded.height(), padded.width()),
+            (kh, kw),
+            tile,
+            TilingMode::Exact,
+            stride,
+        )?;
+        let passes = schedule.passes();
+        let geometries: Vec<PlaneGeometry> = passes
+            .iter()
+            .map(|pass| {
+                let (signal_len, kernel_len) = schedule.operand_lens(pass);
+                jtc.plane_geometry(signal_len, kernel_len)
+                    .expect("a scheduled pass has non-empty operands")
+            })
+            .collect();
+        let mut slot_pass: Vec<usize> = Vec::new();
+        let kernel_slot = (0..passes.len())
+            .map(|p| {
+                let slot = slot_pass.iter().position(|&q| {
+                    passes[q].kernel_rows() == passes[p].kernel_rows()
+                        && geometries[q].n() == geometries[p].n()
+                });
+                slot.unwrap_or_else(|| {
+                    slot_pass.push(p);
+                    slot_pass.len() - 1
+                })
+            })
+            .collect();
+        Ok(Self {
+            input_hw: (input.height(), input.width()),
+            tile,
+            stride,
+            split: PseudoNegativeSplit::of(weights),
+            channel_rows,
+            schedule,
+            geometries,
+            kernel_slot,
+            slot_pass,
+        })
+    }
+
+    fn in_channels(&self) -> usize {
+        self.channel_rows.len()
+    }
+
+    fn out_channels(&self) -> usize {
+        self.split.positive.out_channels()
+    }
+
+    /// The clean 1-D kernel of output channel `o`, input channel `i`,
+    /// pseudo-negative half `half` (0 positive, 1 negative) in kernel slot
+    /// `slot`.
+    fn kernel(&self, o: usize, i: usize, half: usize, slot: usize) -> Vec<f64> {
+        let split = [&self.split.positive, &self.split.negative][half];
+        let pass = &self.schedule.passes()[self.slot_pass[slot]];
+        self.schedule.kernel(&split.kernel(o, i), pass)
+    }
+
+    /// The plane geometry of kernel slot `slot`.
+    fn slot_geometry(&self, slot: usize) -> PlaneGeometry {
+        self.geometries[self.slot_pass[slot]]
+    }
+}
+
+/// Runs `layer` under `faults` for fan-out `epoch`, reusing `spectra`
+/// (built for this layer) on the spectral path. Returns the output tensor
+/// and the optical pass count.
+fn run_layer(
+    jtc: &Jtc,
+    layer: &Layer,
+    faults: Option<&FaultInjector>,
+    epoch: u64,
+    spectra: Option<&CleanSpectra>,
+) -> Result<(Tensor3, u64), FunctionalError> {
+    let (in_channels, out_channels) = (layer.in_channels(), layer.out_channels());
+    let _conv = refocus_obs::span_with("conv2d", || {
+        let (h, w) = layer.input_hw;
+        format!("in={in_channels}x{h}x{w} out_ch={out_channels}")
+    });
+    let (out_h, out_w) = layer.schedule.output_hw();
+
+    // A transparent injector changes nothing, so it takes the clean
+    // path untouched.
+    let faults = faults.filter(|f| !f.is_transparent());
+    // With no converter and no noise, a pass differs from the others
+    // only in its light and in faults that are linear in it: lens 1
+    // and lens 2 are linear, so passes may share spectra and detector
+    // sums.
+    let results = if !jtc.has_converters() && !faults.is_some_and(FaultInjector::has_noise) {
+        let faults = faults.map(|injector| {
+            SpectralFaults::new(
+                injector,
+                epoch,
+                out_channels,
+                in_channels,
+                layer.schedule.passes().len(),
+            )
+        });
+        spectral_channels(jtc, layer, spectra, faults.as_ref())
+    } else {
+        let (split, tile, stride) = (&layer.split, layer.tile, layer.stride);
+        let channels: Vec<usize> = (0..out_channels).collect();
+        refocus_par::par_map(&channels, |&o| {
+            // One span per output-channel worker: this is the unit the
+            // row-tiling fan-out distributes over pool threads.
+            let _chan = refocus_obs::span_with("conv2d.channel", || format!("oc={o}"));
+            let mut worker_faults = faults.map(|f| f.for_work_item(epoch, o as u64));
+            let mut local_passes = 0u64;
+            // Accumulate positive and negative halves over channels.
+            let mut pos = vec![vec![0.0; out_w]; out_h];
+            let mut neg = vec![vec![0.0; out_w]; out_h];
+            for (i, rows) in layer.channel_rows.iter().enumerate() {
+                for (half, acc) in [
+                    (split.positive.kernel(o, i), &mut pos),
+                    (split.negative.kernel(o, i), &mut neg),
+                ] {
+                    let partial = tiled_conv2d_strided_with(
+                        rows,
+                        &half,
+                        tile,
+                        TilingMode::Exact,
+                        stride,
+                        |s, k| {
+                            local_passes += 1;
+                            let out = match worker_faults.as_mut() {
+                                Some(fi) => jtc.correlate_with_faults(s, k, fi),
+                                None => jtc.correlate(s, k),
+                            }
+                            .expect("scheduled operands are non-empty and non-negative");
+                            out.valid().to_vec()
+                        },
+                    )?;
+                    for (ar, pr) in acc.iter_mut().zip(&partial) {
+                        for (a, p) in ar.iter_mut().zip(pr) {
+                            *a += p;
+                        }
+                    }
+                }
+            }
+            Ok((recombine(&pos, &neg)?, local_passes))
+        })
+    };
+
+    let mut out = Tensor3::zeros(out_channels, out_h, out_w);
+    let mut total_passes = 0u64;
+    for (o, result) in results.into_iter().enumerate() {
+        // First error in channel order — deterministic regardless of
+        // which worker hit it first on the wall clock.
+        let (flat, local_passes) = result?;
+        total_passes += local_passes;
+        refocus_obs::counter("conv2d.optical_passes", local_passes);
+        for oy in 0..out_h {
+            for ox in 0..out_w {
+                out.set(o, oy, ox, flat[oy * out_w + ox]);
+            }
+        }
+    }
+    Ok((out, total_passes))
+}
+
+/// The clean lens-1 light of one layer, computed once and shared by every
+/// conv of that layer, the way the optical buffer replays light that was
+/// generated once (§4.1): a fault campaign runs the same input through
+/// the same weights in every cell. Holds `(C_in·P + 2·C_out·C_in·S)`
+/// spectra of `n/2 + 1` bins (P passes, S kernel slots, 16 B per bin).
+#[derive(Debug)]
+pub(crate) struct CleanSpectra {
+    layer: Layer,
+    /// The signal spectrum of each (input channel, pass), input-channel
+    /// major.
+    signals: Vec<Spectrum>,
+    /// The clean kernel operand and its spectrum of each (o, i, half,
+    /// kernel slot), in that order.
+    kernels: Vec<(Vec<f64>, Spectrum)>,
+}
+
+impl CleanSpectra {
+    fn new(jtc: &Jtc, layer: Layer) -> Self {
+        let _s = refocus_obs::span("jtc.spectral.lens1");
+        let (schedule, slots) = (&layer.schedule, layer.slot_pass.len());
+        let mut signals = Vec::with_capacity(layer.in_channels() * layer.geometries.len());
+        for rows in &layer.channel_rows {
+            for (pass, &g) in schedule.passes().iter().zip(&layer.geometries) {
+                let signal = jtc
+                    .signal_spectrum(g, &schedule.signal(rows, pass))
+                    .expect("activations are non-negative");
+                signals.push(signal);
+            }
+        }
+        let mut kernels =
+            Vec::with_capacity(layer.out_channels() * layer.in_channels() * 2 * slots);
+        for o in 0..layer.out_channels() {
+            for i in 0..layer.in_channels() {
+                for half in 0..2 {
+                    for slot in 0..slots {
+                        let kernel = layer.kernel(o, i, half, slot);
+                        let spectrum = jtc
+                            .kernel_spectrum(layer.slot_geometry(slot), &kernel)
+                            .expect("pseudo-negative halves are non-negative");
+                        kernels.push((kernel, spectrum));
+                    }
+                }
+            }
+        }
+        refocus_obs::counter(
+            "jtc.lens1.transforms",
+            (signals.len() + kernels.len()) as u64,
+        );
+        Self {
+            layer,
+            signals,
+            kernels,
+        }
+    }
+
+    /// The signal spectrum of input channel `i`, pass `pass`.
+    fn signal(&self, i: usize, pass: usize) -> &Spectrum {
+        &self.signals[i * self.layer.geometries.len() + pass]
+    }
+
+    /// The clean kernel operand and spectrum of (o, i, half, slot).
+    fn kernel(&self, o: usize, i: usize, half: usize, slot: usize) -> &(Vec<f64>, Spectrum) {
+        let slots = self.layer.slot_pass.len();
+        &self.kernels[((o * self.layer.in_channels() + i) * 2 + half) * slots + slot]
     }
 }
 
@@ -513,25 +711,28 @@ impl<'a> SpectralFaults<'a> {
 /// passes; and each (o, pass, half) detector sums its input channels,
 /// each scaled by its pass's laser drift, before one lens-2 transform
 /// (temporal accumulation §4.1.4, WDM §4.2) and the dead-pixel mask.
+/// With `spectra`, signal spectra are read from it and kernel spectra
+/// borrowed from it where the stuck taps leave the kernel unchanged.
 /// Passes are still counted one per (o, i, half, pass).
 fn spectral_channels(
     jtc: &Jtc,
-    schedule: &RowSchedule,
-    geometries: &[PlaneGeometry],
-    channel_rows: &[Vec<Vec<f64>>],
-    split: &PseudoNegativeSplit,
+    layer: &Layer,
+    spectra: Option<&CleanSpectra>,
     faults: Option<&SpectralFaults>,
 ) -> Vec<Result<(Vec<f64>, u64), FunctionalError>> {
-    let in_channels = channel_rows.len();
-    let out_channels = split.positive.out_channels();
+    let (in_channels, out_channels) = (layer.in_channels(), layer.out_channels());
+    let (schedule, geometries) = (&layer.schedule, &layer.geometries);
     let passes = schedule.passes();
     let served = (out_channels * in_channels * 2 * passes.len()) as u64;
     refocus_obs::counter("jtc.spectra_reused", served);
 
+    // Each output-channel worker scatters its valid windows into its own
+    // positive and negative accumulators, pass by pass; the lock is never
+    // contended.
     let (out_h, out_w) = schedule.output_hw();
-    let mut pos = vec![vec![vec![0.0; out_w]; out_h]; out_channels];
-    let mut neg = pos.clone();
-    let channels: Vec<usize> = (0..out_channels).collect();
+    let accumulators: Vec<Mutex<[Vec<Vec<f64>>; 2]>> = (0..out_channels)
+        .map(|_| Mutex::new([vec![vec![0.0; out_w]; out_h], vec![vec![0.0; out_w]; out_h]]))
+        .collect();
     let mut start = 0;
     while start < passes.len() {
         // Grow the block while its spectra fit the budget; one pass always
@@ -546,122 +747,138 @@ fn spectral_channels(
             end += 1;
         }
         let block = &passes[start..end];
-        let geoms = &geometries[start..end];
 
-        // Serial: one transform per operand is a small share of the layer,
-        // and a second pool region per block costs more peak memory than it
-        // saves time.
-        let signals: Vec<Spectrum> = {
-            let _s = refocus_obs::span("jtc.spectral.lens1");
-            channel_rows
-                .iter()
-                .flat_map(|rows| {
-                    block
-                        .iter()
-                        .zip(geoms)
-                        .map(move |(pass, &g)| (rows, pass, g))
-                })
-                .map(|(rows, pass, g)| {
-                    jtc.signal_spectrum(g, &schedule.signal(rows, pass))
-                        .expect("activations are non-negative")
-                })
-                .collect()
-        };
-        let valid: Vec<Vec<[Vec<f64>; 2]>> = refocus_par::par_map(&channels, |&o| {
-            let _chan = refocus_obs::span_with("conv2d.channel", || format!("oc={o}"));
-            spectral_block(
-                jtc,
-                schedule,
-                geometries,
-                start..end,
-                &signals,
-                split,
-                faults,
-                o,
-            )
-        });
-
-        for (o, windows) in valid.iter().enumerate() {
-            for (pass, [p, n]) in block.iter().zip(windows) {
-                schedule.scatter(pass, p, &mut pos[o]);
-                schedule.scatter(pass, n, &mut neg[o]);
+        let owned: Vec<Spectrum>;
+        let signals: Vec<&Spectrum> = match spectra {
+            Some(spectra) => (0..in_channels)
+                .flat_map(|i| (start..end).map(move |p| spectra.signal(i, p)))
+                .collect(),
+            None => {
+                // Serial: one transform per operand is a small share of the
+                // layer, and a second pool region per block costs more peak
+                // memory than it saves time.
+                let _s = refocus_obs::span("jtc.spectral.lens1");
+                owned = layer
+                    .channel_rows
+                    .iter()
+                    .flat_map(|rows| {
+                        block
+                            .iter()
+                            .zip(&geometries[start..end])
+                            .map(move |(pass, &g)| (rows, pass, g))
+                    })
+                    .map(|(rows, pass, g)| {
+                        jtc.signal_spectrum(g, &schedule.signal(rows, pass))
+                            .expect("activations are non-negative")
+                    })
+                    .collect();
+                refocus_obs::counter("jtc.lens1.transforms", owned.len() as u64);
+                owned.iter().collect()
             }
-        }
+        };
+        refocus_par::par_map_indexed(&accumulators, |o, accumulator| {
+            let _chan = refocus_obs::span_with("conv2d.channel", || format!("oc={o}"));
+            let windows = spectral_block(jtc, layer, start..end, &signals, spectra, faults, o);
+            let mut acc = accumulator.lock().expect("accumulator lock");
+            for (pass, halves) in block.iter().zip(&windows) {
+                for (acc, valid) in acc.iter_mut().zip(halves) {
+                    schedule.scatter(pass, valid, acc);
+                }
+            }
+        });
         start = end;
     }
     let local_passes = (in_channels * 2 * passes.len()) as u64;
-    pos.iter()
-        .zip(&neg)
-        .map(|(p, n)| Ok((recombine(p, n)?, local_passes)))
+    accumulators
+        .into_iter()
+        .map(|accumulator| {
+            let [pos, neg] = accumulator.into_inner().expect("accumulator lock");
+            Ok((recombine(&pos, &neg)?, local_passes))
+        })
         .collect()
 }
 
 /// One output channel's share of a spectral block: the valid windows of
 /// its positive and negative detector sums, one per pass of `range`.
 /// `signals` holds the block's signal spectra, input-channel major.
-#[allow(clippy::too_many_arguments)]
 fn spectral_block(
     jtc: &Jtc,
-    schedule: &RowSchedule,
-    geometries: &[PlaneGeometry],
+    layer: &Layer,
     range: Range<usize>,
-    signals: &[Spectrum],
-    split: &PseudoNegativeSplit,
+    signals: &[&Spectrum],
+    spectra: Option<&CleanSpectra>,
     faults: Option<&SpectralFaults>,
     o: usize,
 ) -> Vec<[Vec<f64>; 2]> {
     let start = range.start;
-    let block = &schedule.passes()[range.clone()];
-    let geoms = &geometries[range];
-    let mut detectors: Vec<[DetectorSum; 2]> = geoms
+    let block = &layer.schedule.passes()[range.clone()];
+    let mut detectors: Vec<[DetectorSum; 2]> = layer.geometries[range.clone()]
         .iter()
         .map(|&g| [jtc.detector(g), jtc.detector(g)])
         .collect();
-    // Kernel spectra depend on the kernel rows and the plane size only,
-    // so passes that agree on both share one.
-    let mut kernel_of = Vec::with_capacity(block.len());
-    let mut kernel_slots: Vec<usize> = Vec::new();
-    for (p, pass) in block.iter().enumerate() {
-        let slot = kernel_slots.iter().position(|&q| {
-            block[q].kernel_rows() == pass.kernel_rows() && geoms[q].n() == geoms[p].n()
-        });
-        kernel_of.push(slot.unwrap_or_else(|| {
-            kernel_slots.push(p);
-            kernel_slots.len() - 1
-        }));
-    }
+    // The block's kernel slots in first-use order, and each pass's index
+    // among them.
+    let mut slots: Vec<usize> = Vec::new();
+    let kernel_of: Vec<usize> = layer.kernel_slot[range]
+        .iter()
+        .map(|&slot| {
+            slots.iter().position(|&s| s == slot).unwrap_or_else(|| {
+                slots.push(slot);
+                slots.len() - 1
+            })
+        })
+        .collect();
     for (i, signals) in signals.chunks(block.len()).enumerate() {
-        let spectra: Vec<[Spectrum; 2]> = {
+        let kernels: Vec<[Cow<Spectrum>; 2]> = {
             let _s = refocus_obs::span("jtc.spectral.lens1");
-            let halves = [split.positive.kernel(o, i), split.negative.kernel(o, i)];
-            kernel_slots
+            let mut transforms = 0;
+            let kernels = slots
                 .iter()
-                .map(|&q| {
-                    halves.each_ref().map(|half| {
-                        let mut kernel = schedule.kernel(half, &block[q]);
+                .map(|&slot| {
+                    [0, 1].map(|half| {
+                        let clean = spectra.map(|s| s.kernel(o, i, half, slot));
+                        let mut kernel = match clean {
+                            Some((operand, _)) => operand.clone(),
+                            None => layer.kernel(o, i, half, slot),
+                        };
                         if let Some(faults) = faults {
                             faults.injector.corrupt_kernel(&mut kernel);
                         }
-                        jtc.kernel_spectrum(geoms[q], &kernel)
-                            .expect("pseudo-negative halves are non-negative")
+                        match clean {
+                            // Stuck taps that left every bit in place leave
+                            // the clean spectrum.
+                            Some((operand, spectrum)) if same_bits(&kernel, operand) => {
+                                Cow::Borrowed(spectrum)
+                            }
+                            _ => {
+                                transforms += 1;
+                                Cow::Owned(
+                                    jtc.kernel_spectrum(layer.slot_geometry(slot), &kernel)
+                                        .expect("pseudo-negative halves are non-negative"),
+                                )
+                            }
+                        }
                     })
                 })
-                .collect()
+                .collect();
+            refocus_obs::counter("jtc.lens1.transforms", transforms);
+            kernels
         };
         let _s = refocus_obs::span("jtc.spectral.detect");
-        for (p, ((pair, signal), &slot)) in detectors
+        for (p, ((pair, signal), &k)) in detectors
             .iter_mut()
             .zip(signals)
             .zip(&kernel_of)
             .enumerate()
         {
-            for (half, (detector, kernel)) in pair.iter_mut().zip(&spectra[slot]).enumerate() {
+            for (half, (detector, kernel)) in pair.iter_mut().zip(&kernels[k]).enumerate() {
                 let drift = faults.map_or(1.0, |f| f.drift(o, i, half, start + p));
                 detector.add(signal, kernel, drift);
             }
         }
     }
     let _s = refocus_obs::span("jtc.spectral.lens2");
+    refocus_obs::counter("jtc.lens2.transforms", 2 * block.len() as u64);
     detectors
         .iter()
         .zip(block)
@@ -671,13 +888,21 @@ fn spectral_block(
                 if let Some(faults) = faults {
                     // Valid lag `v` is pixel `v + lk − 1` of the full
                     // window `Jtc::correlate_with_faults` masks.
-                    let lk = schedule.operand_lens(pass).1;
+                    let lk = layer.schedule.operand_lens(pass).1;
                     faults.injector.mask_dead_pixels(lk - 1, &mut valid);
                 }
                 valid
             })
         })
         .collect()
+}
+
+/// Whether two operands agree bit for bit (`0.0` and `-0.0` differ), so
+/// their spectra do too.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter()
+        .map(|v| v.to_bits())
+        .eq(b.iter().map(|v| v.to_bits()))
 }
 
 /// Digital recombination of the pseudo-negative halves into one flat
@@ -988,6 +1213,83 @@ mod tests {
                         .conv2d(&input, &weights, stride, padding)
                         .unwrap();
                     assert!(max_diff(&got, &clean) > 1e-9 * peak, "{what}, {faults}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_spectra_conv_is_bit_identical_to_conv2d() {
+        use refocus_photonics::faults::FaultSpec;
+        let jtc = Jtc::ideal();
+        // (what, tile, C_in, C_out, h, w, k, stride, padding)
+        let layers = [
+            ("one pass", 256, 2, 3, 8, 8, 3, 1, 1),
+            ("multi-tile stride 2", 64, 2, 3, 16, 16, 3, 2, 1),
+            ("row-partitioned stride 2", 50, 2, 2, 13, 20, 5, 2, 0),
+        ];
+        // Taps stuck above zero also hit the zero gaps of a tiled kernel.
+        let specs = [
+            ("transparent", FaultSpec::none()),
+            ("dead taps", FaultSpec::none().with_stuck_weights(0.1, 0.0)),
+            (
+                "taps stuck at 0.5",
+                FaultSpec::none().with_stuck_weights(0.1, 0.5),
+            ),
+            (
+                "stuck rate 0.3",
+                FaultSpec::none().with_stuck_weights(0.3, 0.25),
+            ),
+            (
+                "stuck rate 1",
+                FaultSpec::none().with_stuck_weights(1.0, 0.25),
+            ),
+            (
+                "dead pixels and drift",
+                FaultSpec::none()
+                    .with_dead_pixel_rate(0.05)
+                    .with_laser_drift(0.01, 0.1),
+            ),
+        ];
+        // The first element whose bits differ, if any.
+        let differs = |a: &Tensor3, b: &Tensor3| {
+            assert_eq!(a.shape(), b.shape());
+            (a.data().iter().zip(b.data())).position(|(x, y)| x.to_bits() != y.to_bits())
+        };
+        for (n, (what, tile, c_in, c_out, h, w, k, stride, padding)) in
+            layers.into_iter().enumerate()
+        {
+            let data = 80 + 2 * n as u64;
+            let input = Tensor3::random(c_in, h, w, 0.0, 1.0, data);
+            let weights = Tensor4::random(c_out, c_in, k, k, -1.0, 1.0, data + 1);
+            let config = AcceleratorConfig {
+                tile,
+                ..AcceleratorConfig::refocus_ff()
+            };
+            let clean = OpticalExecutor::new(&config, jtc.clone());
+            let spectra = clean
+                .clean_spectra(&input, &weights, stride, padding)
+                .unwrap();
+            let want = clean.conv2d(&input, &weights, stride, padding).unwrap();
+            let got = clean.conv2d_with_spectra(&spectra).unwrap();
+            assert_eq!(differs(&got, &want), None, "{what}, no injector");
+            for (faults, spec) in specs {
+                for seed in [1, 2] {
+                    let injector = FaultInjector::new(spec, seed);
+                    let want =
+                        OpticalExecutor::new(&config, jtc.clone()).with_faults(injector.clone());
+                    let got = OpticalExecutor::new(&config, jtc.clone()).with_faults(injector);
+                    // Two convs each: both reserve one epoch per conv.
+                    for conv in 0..2 {
+                        let a = got.conv2d_with_spectra(&spectra).unwrap();
+                        let b = want.conv2d(&input, &weights, stride, padding).unwrap();
+                        assert_eq!(
+                            differs(&a, &b),
+                            None,
+                            "{what}, {faults}, seed {seed}, conv {conv}"
+                        );
+                    }
+                    assert_eq!(got.passes(), want.passes(), "{what}, {faults}");
                 }
             }
         }

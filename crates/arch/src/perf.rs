@@ -91,8 +91,7 @@ impl LayerPerf {
         let generation_cycles = cycles.div_ceil(input_uses);
         let effective_ta = (config.temporal_accumulation as u64).min(channel_iterations);
 
-        let (oh, ow) = layer.output_hw();
-        let _ = oh;
+        let (_, ow) = layer.output_hw();
         let valid_elems = plan.valid_rows_per_pass * ow.min(plan.row_len);
         Ok(Self {
             plan,

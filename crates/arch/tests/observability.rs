@@ -8,7 +8,10 @@
 
 use refocus_arch::campaign::{ChaosEvent, ChaosSpec, FaultCampaign, RunBudget, Workload};
 use refocus_arch::config::AcceleratorConfig;
-use refocus_photonics::faults::FaultSpec;
+use refocus_nn::quant::PseudoNegativeSplit;
+use refocus_nn::tensor::Tensor4;
+use refocus_nn::tiling::tile_kernel;
+use refocus_photonics::faults::{FaultInjector, FaultSpec};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
@@ -134,6 +137,8 @@ fn work_counters_are_identical_at_every_thread_count() {
                 obs.counter("campaign.retries"),
                 obs.span("campaign.cell").map(|s| s.count),
                 obs.span("campaign.cell.attempt").map(|s| s.count),
+                obs.counter("jtc.lens1.transforms"),
+                obs.counter("jtc.lens2.transforms"),
             )
         })
     };
@@ -162,4 +167,88 @@ fn disabled_instrumentation_records_nothing() {
     assert!(obs.is_empty(), "uncollected run must leave no events");
     assert_eq!(obs.counter("jtc.passes"), 0);
     assert_eq!(obs.to_chrome_trace().trim(), "[]");
+}
+
+/// A campaign computes its layer's clean lens-1 light once per run; a
+/// cell transforms only the kernels its stuck taps change, and every conv
+/// (the reference and each cell) runs one lens-2 transform per (o, half)
+/// of a one-pass layer.
+#[test]
+fn campaign_transforms_clean_light_once_and_changed_kernels_per_cell() {
+    let _gate = serial();
+    // 2 input and 2 output channels on a 6×6 input, padded to 8×8: one
+    // pass of 8 rows of 10 samples on the 256-waveguide tile.
+    let workload = Workload {
+        height: 6,
+        width: 6,
+        out_channels: 2,
+        ..Workload::default()
+    };
+    let (c_in, c_out, row_len) = (workload.in_channels, workload.out_channels, 10);
+    let severities = [0.0, 1.0, 4.0];
+    let seeds = [1, 2, 3];
+    let cells = (severities.len() * seeds.len()) as u64;
+    let transforms = |spec: FaultSpec| {
+        let collector = refocus_obs::Collector::enabled();
+        let report = FaultCampaign::new(AcceleratorConfig::refocus_fb(), spec)
+            .with_severities(&severities)
+            .with_seeds(&seeds)
+            .with_workload(workload)
+            .run()
+            .expect("campaign completes");
+        let obs = collector.finish();
+        assert!(report.is_complete());
+        (
+            obs.counter("jtc.lens1.transforms"),
+            obs.counter("jtc.lens2.transforms"),
+        )
+    };
+    let clean_light = (c_in + 2 * c_out * c_in) as u64;
+    let lens2 = 2 * c_out as u64 * (cells + 1);
+
+    let drift_and_pixels = FaultSpec::none()
+        .with_dead_pixel_rate(0.05)
+        .with_laser_drift(0.005, 0.1);
+    assert_eq!(transforms(drift_and_pixels), (clean_light, lens2));
+
+    // The kernels a cell's stuck taps change, counted from the tiled
+    // pseudo-negative halves the campaign's weights split into.
+    let stuck = drift_and_pixels.with_stuck_weights(0.05, 0.25);
+    let weights = Tensor4::random(
+        c_out,
+        c_in,
+        workload.kernel,
+        workload.kernel,
+        -1.0,
+        1.0,
+        workload.data_seed + 1,
+    );
+    let split = PseudoNegativeSplit::of(&weights);
+    let kernels: Vec<Vec<f64>> = (0..c_out)
+        .flat_map(|o| (0..c_in).map(move |i| (o, i)))
+        .flat_map(|(o, i)| {
+            [&split.positive, &split.negative].map(|half| tile_kernel(&half.kernel(o, i), row_len))
+        })
+        .collect();
+    let mut changed = 0;
+    for &severity in &severities {
+        for &seed in &seeds {
+            let injector = FaultInjector::new(stuck.scaled(severity), seed);
+            for kernel in &kernels {
+                let mut corrupted = kernel.clone();
+                injector.corrupt_kernel(&mut corrupted);
+                let same = corrupted
+                    .iter()
+                    .zip(kernel)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                changed += u64::from(!same);
+            }
+        }
+    }
+    let faulted_kernels = (severities.len() - 1) * seeds.len() * kernels.len();
+    assert!(
+        changed > 0 && changed < faulted_kernels as u64,
+        "{changed} of {faulted_kernels} faulted kernels changed"
+    );
+    assert_eq!(transforms(stuck), (clean_light + changed, lens2));
 }
