@@ -18,8 +18,9 @@
 //! computes the layer's clean lens-1 spectra once and shares them with
 //! the reference conv and every cell, the way the optical buffer replays
 //! light that was generated once (§4.1). A cell transforms only the
-//! kernels its stuck taps change; its results are bit-identical to
-//! [`OpticalExecutor::conv2d`] under the same injector.
+//! kernels its stuck taps change, and a fault-free cell runs no conv at
+//! all; its results are bit-identical to [`OpticalExecutor::conv2d`]
+//! under the same injector.
 //!
 //! # Resilient execution
 //!
@@ -646,11 +647,17 @@ impl FaultCampaign {
         // Each attempt's conv2d reserves exactly one epoch, so starting
         // attempt k at epoch k keeps attempts' streams disjoint.
         let injector = FaultInjector::new(scaled, seed).with_reserved_epochs(u64::from(attempt));
-        let exec = OpticalExecutor::new(&self.config, Jtc::ideal()).with_faults(injector);
-        let faulted = exec
-            .conv2d_with_spectra(spectra)
-            .map_err(sim_error_from_functional)?;
-        let (mut max_abs, rms) = error_stats(&faulted, reference);
+        let (mut max_abs, rms) = if injector.is_transparent() {
+            // A transparent injector takes the clean path, whose conv is
+            // the reference bit for bit, so the cell runs none.
+            error_stats(reference, reference)
+        } else {
+            let exec = OpticalExecutor::new(&self.config, Jtc::ideal()).with_faults(injector);
+            let faulted = exec
+                .conv2d_with_spectra(spectra)
+                .map_err(sim_error_from_functional)?;
+            error_stats(&faulted, reference)
+        };
         if poisoned {
             max_abs = f64::NAN;
         }

@@ -170,9 +170,9 @@ fn disabled_instrumentation_records_nothing() {
 }
 
 /// A campaign computes its layer's clean lens-1 light once per run; a
-/// cell transforms only the kernels its stuck taps change, and every conv
-/// (the reference and each cell) runs one lens-2 transform per (o, half)
-/// of a one-pass layer.
+/// cell transforms only the kernels its stuck taps change, a fault-free
+/// cell runs no conv, and every conv (the reference and each faulted
+/// cell) runs one lens-2 transform per (o, half) of a one-pass layer.
 #[test]
 fn campaign_transforms_clean_light_once_and_changed_kernels_per_cell() {
     let _gate = serial();
@@ -187,7 +187,8 @@ fn campaign_transforms_clean_light_once_and_changed_kernels_per_cell() {
     let (c_in, c_out, row_len) = (workload.in_channels, workload.out_channels, 10);
     let severities = [0.0, 1.0, 4.0];
     let seeds = [1, 2, 3];
-    let cells = (severities.len() * seeds.len()) as u64;
+    // Severity 0 scales every fault away.
+    let faulted_cells = ((severities.len() - 1) * seeds.len()) as u64;
     let transforms = |spec: FaultSpec| {
         let collector = refocus_obs::Collector::enabled();
         let report = FaultCampaign::new(AcceleratorConfig::refocus_fb(), spec)
@@ -204,7 +205,7 @@ fn campaign_transforms_clean_light_once_and_changed_kernels_per_cell() {
         )
     };
     let clean_light = (c_in + 2 * c_out * c_in) as u64;
-    let lens2 = 2 * c_out as u64 * (cells + 1);
+    let lens2 = 2 * c_out as u64 * (faulted_cells + 1);
 
     let drift_and_pixels = FaultSpec::none()
         .with_dead_pixel_rate(0.05)

@@ -87,37 +87,133 @@ pub fn rfft(x: &[f64]) -> Vec<Complex64> {
     if n <= 1 || !n.is_power_of_two() {
         return fft_real(x);
     }
+    spectrum(x, n)
+}
+
+/// Bins `0..=N/2` of [`rfft`], bit for bit, for a power-of-two `N >= 2`:
+/// the half of a real signal's spectrum the rest mirrors, computed
+/// without the upper bins.
+pub(crate) fn rfft_half(x: &[f64]) -> Vec<Complex64> {
+    spectrum(x, x.len() / 2 + 1)
+}
+
+/// Bins `0..bins` of the DFT of real `x` (power-of-two length >= 2),
+/// `bins` being `N/2 + 1` or `N`, in one buffer of `bins` elements.
+fn spectrum(x: &[f64], bins: usize) -> Vec<Complex64> {
+    let n = x.len();
+    unpacked(packed(n, |j| x[j], bins), n, bins)
+}
+
+/// Samples `at` of [`ifft_real`]`(x)`, bit for bit, for a power-of-two
+/// `x.len() >= 2`: the half-length transform runs whole, but only the
+/// samples read are unpacked, conjugated and scaled.
+pub(crate) fn ifft_real_at(x: &[f64], at: impl Iterator<Item = usize>) -> Vec<Complex64> {
+    let n = x.len();
+    unpacked_at(&packed(n, |j| x[j], n / 2), n, at)
+}
+
+/// Samples `at` of [`ifft_real`] over the `N`-sample real spectrum whose
+/// bins `0..=N/2` are `half` and whose bins above `N/2` mirror them
+/// (`x[k] = x[N-k]`, the spectrum of a real field's intensity), for a
+/// power-of-two `N >= 2`; the mirrored bins are never stored.
+pub(crate) fn ifft_half_at(half: &[f64], at: impl Iterator<Item = usize>) -> Vec<Complex64> {
+    let (bins, n) = (half.len(), 2 * (half.len() - 1));
+    let z = packed(n, |j| if j < bins { half[j] } else { half[n - j] }, n / 2);
+    unpacked_at(&z, n, at)
+}
+
+/// The half-length DFT `Z` of the packed sequence `z[i] = x[2i] + i·x[2i+1]`
+/// (`x[j]` = `sample(j)`, `n` a power of two >= 2), in a buffer with room
+/// for `capacity` bins. The pack writes each sample straight to its
+/// bit-reversed slot, which is the permutation [`FftPlan::forward`]
+/// would apply first.
+fn packed(n: usize, sample: impl Fn(usize) -> f64, capacity: usize) -> Vec<Complex64> {
+    debug_assert!(n.is_power_of_two() && n >= 2);
     let half = n / 2;
-    // Pack even samples into the real lane, odd samples into the imaginary
-    // lane, and transform the half-length sequence.
-    let mut z: Vec<Complex64> = (0..half)
-        .map(|i| Complex64::new(x[2 * i], x[2 * i + 1]))
-        .collect();
-    fft(&mut z);
-    // Unpack: with E/O the half-length DFTs of the even/odd samples,
-    //   E[k] = (Z[k] + conj(Z[-k])) / 2,   O[k] = (Z[k] - conj(Z[-k])) / 2i,
-    //   X[k] = E[k] + W^k O[k],  X[k+N/2] = E[k] - W^k O[k],  W = e^(-2πi/N).
-    // The W^k table for k < N/2 is exactly the full-length plan's last
-    // butterfly stage, so the unpack borrows it from the plan cache
-    // instead of paying N/2 sin/cos evaluations per call.
-    let mut out = vec![Complex64::ZERO; n];
+    let mut z = Vec::with_capacity(capacity);
+    if half == 1 {
+        z.push(Complex64::new(sample(0), sample(1)));
+        return z;
+    }
+    with_plan(half, |plan| {
+        z.extend(plan.rev.iter().map(|&i| {
+            let i = i as usize;
+            Complex64::new(sample(2 * i), sample(2 * i + 1))
+        }));
+        plan.stages(&mut z, &plan.twiddles);
+    });
+    z
+}
+
+/// Runs `f` with the unpack twiddles `W^k = e^(-2πik/n)`, `k < n/2`.
+/// They are exactly the full-length plan's last butterfly stage, so the
+/// unpack borrows them from the plan cache instead of paying `n/2`
+/// sin/cos evaluations per call.
+fn with_unpack_twiddles<R>(n: usize, f: impl FnOnce(&[Complex64]) -> R) -> R {
     with_plan(n, |plan| {
         let (_, offset) = *plan
             .stage_offsets
             .last()
             .expect("plans always have at least one stage");
-        let w = &plan.twiddles[offset..offset + half];
-        for k in 0..half {
-            let zk = z[k];
-            let zc = z[(half - k) % half].conj();
-            let even = (zk + zc).scale(0.5);
-            let odd = (zk - zc) * Complex64::new(0.0, -0.5);
-            let t = w[k] * odd;
-            out[k] = even + t;
-            out[k + half] = even - t;
+        f(&plan.twiddles[offset..offset + n / 2])
+    })
+}
+
+/// Bins `k` and `k + N/2` of a real signal's DFT from its packed
+/// transform: `zk = Z[k]`, `zm = Z[-k]`, `w = W^k`. With E/O the
+/// half-length DFTs of the even/odd samples,
+///   E[k] = (Z[k] + conj(Z[-k])) / 2,   O[k] = (Z[k] - conj(Z[-k])) / 2i,
+///   X[k] = E[k] + W^k O[k],  X[k+N/2] = E[k] - W^k O[k],  W = e^(-2πi/N).
+/// The multiply by `-i/2` stays a full complex multiply: swapping the
+/// lanes instead would change the sign of some zeros.
+fn unpack(zk: Complex64, zm: Complex64, w: Complex64) -> (Complex64, Complex64) {
+    let zc = zm.conj();
+    let even = (zk + zc).scale(0.5);
+    let odd = (zk - zc) * Complex64::new(0.0, -0.5);
+    let t = w * odd;
+    (even + t, even - t)
+}
+
+/// Unpacks the packed transform `z` of `n` real samples in place into
+/// bins `0..bins` of their DFT (`bins` is `n/2 + 1` or `n`). Bins `k` and
+/// `N/2 - k` read the same two packed bins, so each pair is unpacked
+/// before either is overwritten.
+fn unpacked(mut z: Vec<Complex64>, n: usize, bins: usize) -> Vec<Complex64> {
+    let half = n / 2;
+    z.resize(bins, Complex64::ZERO);
+    with_unpack_twiddles(n, |w| {
+        let (x0, xh) = unpack(z[0], z[0], w[0]);
+        z[0] = x0;
+        z[half] = xh;
+        for k in 1..=half / 2 {
+            let m = half - k;
+            let (xk, xkh) = unpack(z[k], z[m], w[k]);
+            let (xm, xmh) = unpack(z[m], z[k], w[m]);
+            z[k] = xk;
+            z[m] = xm;
+            if bins == n {
+                z[k + half] = xkh;
+                z[m + half] = xmh;
+            }
         }
     });
-    out
+    z
+}
+
+/// Samples `at` of the inverse DFT of the `n` real values whose packed
+/// transform is `z`: for real `x`, `ifft(x)[j] = conj(X[j]) / n`.
+fn unpacked_at(z: &[Complex64], n: usize, at: impl Iterator<Item = usize>) -> Vec<Complex64> {
+    let half = n / 2;
+    let inv_n = 1.0 / n as f64;
+    with_unpack_twiddles(n, |w| {
+        at.map(|j| {
+            let k = j % half;
+            let (lo, hi) = unpack(z[k], z[(half - k) % half], w[k]);
+            let v = if j < half { lo } else { hi };
+            v.conj().scale(inv_n)
+        })
+        .collect()
+    })
 }
 
 /// Inverse DFT (including the `1/N` scaling) of a **real-valued**
@@ -300,24 +396,8 @@ pub fn energy(x: &[Complex64]) -> f64 {
 /// A reusable FFT plan for one power-of-two length: twiddle factors and the
 /// bit-reversal permutation are computed once, which matters when the JTC
 /// simulator transforms the same plane size thousands of times.
-///
-/// # Examples
-///
-/// ```
-/// use refocus_photonics::complex::Complex64;
-/// use refocus_photonics::fft::{fft_of, FftPlan};
-///
-/// let plan = FftPlan::new(64);
-/// let x: Vec<Complex64> = (0..64).map(|i| Complex64::from_real(i as f64)).collect();
-/// let mut y = x.clone();
-/// plan.forward(&mut y);
-/// let reference = fft_of(&x);
-/// for (a, b) in y.iter().zip(&reference) {
-///     assert!((*a - *b).norm() < 1e-9);
-/// }
-/// ```
-#[derive(Debug, Clone)]
-pub struct FftPlan {
+#[derive(Debug)]
+struct FftPlan {
     n: usize,
     /// Forward twiddles, laid out stage by stage: for stage length `len`,
     /// the `len/2` roots `e^(-2πik/len)`.
@@ -327,8 +407,9 @@ pub struct FftPlan {
     inv_twiddles: Vec<Complex64>,
     /// Per-stage offsets into `twiddles`.
     stage_offsets: Vec<(usize, usize)>, // (len, offset)
-    /// Bit-reversal swap pairs `(i, j)` with `i < j`.
-    swaps: Vec<(u32, u32)>,
+    /// The bit-reversal permutation: `rev[i]` is `i` with its bits
+    /// reversed. It is its own inverse.
+    rev: Vec<u32>,
 }
 
 impl FftPlan {
@@ -337,8 +418,8 @@ impl FftPlan {
     /// # Panics
     ///
     /// Panics unless `n` is a power of two and at least 2, and (for the
-    /// compact swap table) `n <= 2^32`.
-    pub fn new(n: usize) -> Self {
+    /// compact permutation table) `n <= 2^32`.
+    fn new(n: usize) -> Self {
         assert!(
             n.is_power_of_two() && n >= 2,
             "plan length must be a power of two >= 2, got {n}"
@@ -356,30 +437,15 @@ impl FftPlan {
             len <<= 1;
         }
         let shift = n.leading_zeros() + 1;
-        let swaps = (0..n)
-            .filter_map(|i| {
-                let j = i.reverse_bits() >> shift;
-                (i < j).then_some((i as u32, j as u32))
-            })
-            .collect();
+        let rev = (0..n).map(|i| (i.reverse_bits() >> shift) as u32).collect();
         let inv_twiddles = twiddles.iter().map(|w| w.conj()).collect();
         Self {
             n,
             twiddles,
             inv_twiddles,
             stage_offsets,
-            swaps,
+            rev,
         }
-    }
-
-    /// The transform length this plan serves.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Plans are never empty (length >= 2 enforced).
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     fn run(&self, x: &mut [Complex64], twiddles: &[Complex64]) {
@@ -390,18 +456,48 @@ impl FftPlan {
             self.n,
             x.len()
         );
-        for &(i, j) in &self.swaps {
-            x.swap(i as usize, j as usize);
+        for (i, &j) in self.rev.iter().enumerate() {
+            let j = j as usize;
+            if i < j {
+                x.swap(i, j);
+            }
         }
-        for &(len, offset) in &self.stage_offsets {
+        self.stages(x, twiddles);
+    }
+
+    /// The butterfly stages over `x`, already in bit-reversed order. Each
+    /// stage walks its blocks and twiddles by iterator, so no operand is
+    /// bounds-checked; the first two stages (lengths 2 and 4) run as one
+    /// pass over groups of four, with the same multiplies and adds.
+    fn stages(&self, x: &mut [Complex64], twiddles: &[Complex64]) {
+        let mut stages = &self.stage_offsets[..];
+        if self.n >= 4 {
+            stages = &stages[2..];
+            let (w2, w4) = (twiddles[0], [twiddles[1], twiddles[2]]);
+            for group in x.chunks_exact_mut(4) {
+                let [x0, x1, x2, x3] = group else {
+                    unreachable!("chunks of four")
+                };
+                let v = *x1 * w2;
+                let (a0, a1) = (*x0 + v, *x0 - v);
+                let v = *x3 * w2;
+                let (a2, a3) = (*x2 + v, *x2 - v);
+                let v = a2 * w4[0];
+                (*x0, *x2) = (a0 + v, a0 - v);
+                let v = a3 * w4[1];
+                (*x1, *x3) = (a1 + v, a1 - v);
+            }
+        }
+        for &(len, offset) in stages {
             let half = len / 2;
-            for start in (0..self.n).step_by(len) {
-                for k in 0..half {
-                    let w = twiddles[offset + k];
-                    let u = x[start + k];
-                    let v = x[start + k + half] * w;
-                    x[start + k] = u + v;
-                    x[start + k + half] = u - v;
+            let w = &twiddles[offset..offset + half];
+            for block in x.chunks_exact_mut(len) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((u, v), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(w) {
+                    let t = *v * w;
+                    let a = *u;
+                    *u = a + t;
+                    *v = a - t;
                 }
             }
         }
@@ -412,7 +508,7 @@ impl FftPlan {
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the planned length.
-    pub fn forward(&self, x: &mut [Complex64]) {
+    fn forward(&self, x: &mut [Complex64]) {
         self.run(x, &self.twiddles);
     }
 
@@ -421,7 +517,7 @@ impl FftPlan {
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the planned length.
-    pub fn inverse(&self, x: &mut [Complex64]) {
+    fn inverse(&self, x: &mut [Complex64]) {
         self.inverse_unscaled(x);
         let inv = 1.0 / self.n as f64;
         for v in x.iter_mut() {
@@ -436,8 +532,164 @@ impl FftPlan {
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the planned length.
-    pub fn inverse_unscaled(&self, x: &mut [Complex64]) {
+    fn inverse_unscaled(&self, x: &mut [Complex64]) {
         self.run(x, &self.inv_twiddles);
+    }
+}
+
+/// The power-of-two transforms and the cross-term readout exactly as they
+/// stood before the stage loop lost its bounds checks, lens 1 its upper
+/// bins and lens 2 its unread samples: the bit-for-bit reference the
+/// tests hold the fast paths to. Plans are built per call, not cached.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use crate::complex::Complex64;
+    use std::f64::consts::PI;
+    use std::ops::Range;
+
+    pub(crate) struct FftPlan {
+        n: usize,
+        twiddles: Vec<Complex64>,
+        inv_twiddles: Vec<Complex64>,
+        stage_offsets: Vec<(usize, usize)>, // (len, offset)
+        swaps: Vec<(u32, u32)>,
+    }
+
+    impl FftPlan {
+        pub(crate) fn new(n: usize) -> Self {
+            assert!(
+                n.is_power_of_two() && n >= 2,
+                "plan length must be a power of two >= 2, got {n}"
+            );
+            assert!(n <= (1usize << 32), "plan length too large");
+            let mut twiddles = Vec::new();
+            let mut stage_offsets = Vec::new();
+            let mut len = 2;
+            while len <= n {
+                stage_offsets.push((len, twiddles.len()));
+                let ang = -2.0 * PI / len as f64;
+                for k in 0..len / 2 {
+                    twiddles.push(Complex64::cis(ang * k as f64));
+                }
+                len <<= 1;
+            }
+            let shift = n.leading_zeros() + 1;
+            let swaps = (0..n)
+                .filter_map(|i| {
+                    let j = i.reverse_bits() >> shift;
+                    (i < j).then_some((i as u32, j as u32))
+                })
+                .collect();
+            let inv_twiddles = twiddles.iter().map(|w| w.conj()).collect();
+            Self {
+                n,
+                twiddles,
+                inv_twiddles,
+                stage_offsets,
+                swaps,
+            }
+        }
+
+        fn run(&self, x: &mut [Complex64], twiddles: &[Complex64]) {
+            assert_eq!(
+                x.len(),
+                self.n,
+                "plan is for length {}, got {}",
+                self.n,
+                x.len()
+            );
+            for &(i, j) in &self.swaps {
+                x.swap(i as usize, j as usize);
+            }
+            for &(len, offset) in &self.stage_offsets {
+                let half = len / 2;
+                for start in (0..self.n).step_by(len) {
+                    for k in 0..half {
+                        let w = twiddles[offset + k];
+                        let u = x[start + k];
+                        let v = x[start + k + half] * w;
+                        x[start + k] = u + v;
+                        x[start + k + half] = u - v;
+                    }
+                }
+            }
+        }
+
+        pub(crate) fn forward(&self, x: &mut [Complex64]) {
+            self.run(x, &self.twiddles);
+        }
+
+        pub(crate) fn inverse(&self, x: &mut [Complex64]) {
+            self.run(x, &self.inv_twiddles);
+            let inv = 1.0 / self.n as f64;
+            for v in x.iter_mut() {
+                *v = v.scale(inv);
+            }
+        }
+    }
+
+    /// `fft` at a power-of-two length (length 1 is a no-op).
+    pub(crate) fn fft(x: &mut [Complex64]) {
+        if x.len() > 1 {
+            FftPlan::new(x.len()).forward(x);
+        }
+    }
+
+    /// `ifft` at a power-of-two length (length 1 is a no-op).
+    pub(crate) fn ifft(x: &mut [Complex64]) {
+        if x.len() > 1 {
+            FftPlan::new(x.len()).inverse(x);
+        }
+    }
+
+    /// `rfft` at a power-of-two length >= 2.
+    pub(crate) fn rfft(x: &[f64]) -> Vec<Complex64> {
+        let n = x.len();
+        assert!(n >= 2 && n.is_power_of_two());
+        let half = n / 2;
+        let mut z: Vec<Complex64> = (0..half)
+            .map(|i| Complex64::new(x[2 * i], x[2 * i + 1]))
+            .collect();
+        fft(&mut z);
+        let mut out = vec![Complex64::ZERO; n];
+        let plan = FftPlan::new(n);
+        let (_, offset) = *plan
+            .stage_offsets
+            .last()
+            .expect("plans always have at least one stage");
+        let w = &plan.twiddles[offset..offset + half];
+        for k in 0..half {
+            let zk = z[k];
+            let zc = z[(half - k) % half].conj();
+            let even = (zk + zc).scale(0.5);
+            let odd = (zk - zc) * Complex64::new(0.0, -0.5);
+            let t = w[k] * odd;
+            out[k] = even + t;
+            out[k + half] = even - t;
+        }
+        out
+    }
+
+    /// `ifft_real` at a power-of-two length >= 2.
+    pub(crate) fn ifft_real(x: &[f64]) -> Vec<Complex64> {
+        let n = x.len();
+        let inv_n = 1.0 / n as f64;
+        rfft(x).into_iter().map(|v| v.conj().scale(inv_n)).collect()
+    }
+
+    /// The photodetector readout of the `+sep` cross term at `lags` of an
+    /// `n`-sample output plane, clipped at zero.
+    pub(crate) fn read_cross_term(
+        plane: &[Complex64],
+        sep: usize,
+        n: usize,
+        lags: Range<isize>,
+    ) -> Vec<f64> {
+        lags.map(|lag| {
+            let idx = (sep as isize + lag).rem_euclid(n as isize) as usize;
+            plane[idx].re.max(0.0)
+        })
+        .collect()
     }
 }
 
@@ -622,7 +874,7 @@ mod tests {
             plan.forward(&mut y);
             assert_close(&y, &fft_of(&x), 1e-8);
         }
-        assert_eq!(plan.len(), 64);
+        assert_eq!(plan.n, 64);
     }
 
     #[test]
@@ -769,6 +1021,130 @@ mod tests {
         for k in 0..n {
             let want = fx[k] * Complex64::cis(-2.0 * PI * k as f64 / n as f64);
             assert!((fs[k] - want).norm() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn plan_forward_matches_fft_of() {
+        let plan = FftPlan::new(64);
+        let x: Vec<Complex64> = (0..64).map(|i| Complex64::from_real(i as f64)).collect();
+        let mut y = x.clone();
+        plan.forward(&mut y);
+        let reference = fft_of(&x);
+        for (a, b) in y.iter().zip(&reference) {
+            assert!((*a - *b).norm() < 1e-9);
+        }
+    }
+
+    /// Deterministic uniform draws in `[lo, hi)`.
+    fn uniform(n: usize, seed: u64, lo: f64, hi: f64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                lo + (hi - lo) * ((state >> 11) as f64 / (1u64 << 53) as f64)
+            })
+            .collect()
+    }
+
+    /// Real inputs of length `n` the fast paths must reproduce bit for
+    /// bit: dense random values of both signs, JTC-like planes (zeros
+    /// around two non-negative operands), a mix of signed zeros,
+    /// subnormals and ordinary values, and signed zeros alone, whose
+    /// transform is all zeros of either sign.
+    fn real_inputs(n: usize) -> Vec<Vec<f64>> {
+        let dense = uniform(n, n as u64, -1.0, 1.0);
+        let mut plane = vec![0.0; n];
+        let taps = (n / 8).max(1);
+        for (i, v) in uniform(taps, 3 * n as u64, 0.0, 1.0)
+            .into_iter()
+            .enumerate()
+        {
+            plane[i] = v;
+        }
+        for (i, v) in uniform(2 * taps, 5 * n as u64, 0.0, 1.0)
+            .into_iter()
+            .enumerate()
+        {
+            plane[(n / 2 + i) % n] = v;
+        }
+        let specials = [
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -5e-324,
+            5e-324,
+            -f64::MIN_POSITIVE,
+            1.5,
+            -0.25,
+        ];
+        let picks = uniform(n, 7 * n as u64, 0.0, specials.len() as f64);
+        let special = picks.iter().map(|&p| specials[p as usize]).collect();
+        let zeros = picks.iter().map(|&p| specials[p as usize % 2]).collect();
+        vec![dense, plane, special, zeros, vec![-0.0; n]]
+    }
+
+    fn assert_bits(got: &[Complex64], want: &[Complex64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (a, b)) in got.iter().zip(want).enumerate() {
+            assert!(
+                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                "{what}: sample {k}: {a:?} vs oracle {b:?}"
+            );
+        }
+    }
+
+    /// Samples of an `n`-sample plane the lens-2 readouts ask for: every
+    /// sample once, then a scattered, repeating, out-of-order subset.
+    fn sample_sets(n: usize) -> [Vec<usize>; 2] {
+        let scattered = (0..n.min(64)).map(|i| (i * 37 + n / 3) % n).rev().collect();
+        [(0..n).collect(), scattered]
+    }
+
+    #[test]
+    fn real_transforms_match_the_oracle_bit_for_bit() {
+        for n in (1..=12).map(|p| 1usize << p) {
+            for (case, x) in real_inputs(n).iter().enumerate() {
+                let what = |f: &str| format!("{f} n={n} input {case}");
+                let spectrum = oracle::rfft(x);
+                assert_bits(&rfft(x), &spectrum, &what("rfft"));
+                assert_bits(&rfft_half(x), &spectrum[..=n / 2], &what("rfft_half"));
+                let plane = oracle::ifft_real(x);
+                assert_bits(&ifft_real(x), &plane, &what("ifft_real"));
+                // The lens-2 input: a mirrored half spectrum.
+                let half = &x[..=n / 2];
+                let mirrored: Vec<f64> = (0..n).map(|k| half[k.min(n - k)]).collect();
+                let mirrored_plane = oracle::ifft_real(&mirrored);
+                for at in sample_sets(n) {
+                    let pick = |p: &[Complex64]| at.iter().map(|&j| p[j]).collect::<Vec<_>>();
+                    let got = ifft_real_at(x, at.iter().copied());
+                    assert_bits(&got, &pick(&plane), &what("ifft_real_at"));
+                    let got = ifft_half_at(half, at.iter().copied());
+                    assert_bits(&got, &pick(&mirrored_plane), &what("ifft_half_at"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn complex_transforms_match_the_oracle_bit_for_bit() {
+        for n in (1..=12).map(|p| 1usize << p) {
+            let inputs = real_inputs(2 * n);
+            for (case, lanes) in inputs.iter().enumerate() {
+                let x: Vec<Complex64> = lanes
+                    .chunks_exact(2)
+                    .map(|c| Complex64::new(c[0], c[1]))
+                    .collect();
+                let (mut got, mut want) = (x.clone(), x.clone());
+                fft(&mut got);
+                oracle::fft(&mut want);
+                assert_bits(&got, &want, &format!("fft n={n} input {case}"));
+                ifft(&mut got);
+                oracle::ifft(&mut want);
+                assert_bits(&got, &want, &format!("ifft n={n} input {case}"));
+            }
         }
     }
 }

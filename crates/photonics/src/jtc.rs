@@ -40,7 +40,7 @@
 
 use crate::complex::Complex64;
 use crate::components::{Adc, Dac};
-use crate::fft::{ifft_real, rfft};
+use crate::fft::{ifft_half_at, ifft_real, ifft_real_at, rfft, rfft_half};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
@@ -198,16 +198,18 @@ impl Jtc {
         };
         // Stage 4: second lens. The inverse orientation recovers the
         // autocorrelation theorem directly: IFFT(|FFT(f)|^2) = autocorr(f).
+        // Only the output-plane samples the detectors read are formed.
+        let lags = -(lk as isize - 1)..ls as isize;
         let plane = {
             let _s = refocus_obs::span("jtc.lens2.ifft");
-            ifft_real(&intensity)
+            ifft_real_at(&intensity, g.cross_term_samples(lags))
         };
 
         // Stage 5: photodetector readout of the cross term at +sep.
         // For non-negative inputs the term is real and non-negative;
         // detection reads its magnitude.
         let _s = refocus_obs::span("jtc.readout");
-        let mut full = g.read_cross_term(&plane, -(lk as isize - 1)..ls as isize);
+        let mut full = detect(&plane);
 
         // ADC quantization against the observed full-scale.
         if let Some((_, adc)) = &self.converters {
@@ -397,24 +399,19 @@ impl PlaneGeometry {
         check_power(which, values)?;
         let mut plane = vec![0.0_f64; self.n];
         plane[origin..origin + len].copy_from_slice(values);
-        let mut bins = rfft(&plane);
         // A real field's spectrum is Hermitian: bins above n/2 are the
         // conjugates of those below and add nothing.
-        bins.truncate(self.n / 2 + 1);
-        bins.shrink_to_fit();
+        let bins = rfft_half(&plane);
         Ok(Spectrum { origin, len, bins })
     }
 
     /// Lens 2 over a Fourier-plane intensity given as bins `0..=n/2` (the
     /// rest mirror them), then readout of the valid window.
     fn lens2_valid(&self, half: &[f64]) -> Vec<f64> {
-        let n = self.n;
-        let mut full = vec![0.0; n];
-        full[..half.len()].copy_from_slice(half);
-        for k in half.len()..n {
-            full[k] = half[n - k];
-        }
-        self.read_cross_term(&ifft_real(&full), self.valid_lags())
+        detect(&ifft_half_at(
+            half,
+            self.cross_term_samples(self.valid_lags()),
+        ))
     }
 
     /// The lags of the valid window, `0 ..= S-K`.
@@ -422,15 +419,17 @@ impl PlaneGeometry {
         0..self.signal_len as isize - self.kernel_len as isize + 1
     }
 
-    /// Photodetector readout of the `+sep` cross term at `lags`, clipped at
-    /// zero (detection reads magnitude).
-    fn read_cross_term(&self, plane: &[Complex64], lags: Range<isize>) -> Vec<f64> {
-        lags.map(|lag| {
-            let idx = (self.sep as isize + lag).rem_euclid(self.n as isize) as usize;
-            plane[idx].re.max(0.0)
-        })
-        .collect()
+    /// The output-plane samples of the `+sep` cross term at `lags`.
+    fn cross_term_samples(&self, lags: Range<isize>) -> impl Iterator<Item = usize> {
+        let (sep, n) = (self.sep as isize, self.n as isize);
+        lags.map(move |lag| (sep + lag).rem_euclid(n) as usize)
     }
+}
+
+/// Photodetector readout of output-plane samples, clipped at zero
+/// (detection reads magnitude).
+fn detect(samples: &[Complex64]) -> Vec<f64> {
+    samples.iter().map(|v| v.re.max(0.0)).collect()
 }
 
 /// The lens-1 spectrum of one operand on its own (bins `0..=n/2`; the
@@ -540,6 +539,7 @@ impl JtcOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fft::oracle;
     use crate::signal::{correlate, correlate_valid, max_abs_diff};
 
     fn pseudo_random(n: usize, seed: u64) -> Vec<f64> {
@@ -780,5 +780,136 @@ mod tests {
         assert!(JtcError::NegativeValue { which: "signal" }
             .to_string()
             .contains("negative"));
+    }
+
+    /// Operand pairs the oracle tests run: random powers of several
+    /// shapes (kernel shorter, equal, longer; one tap), and operands
+    /// holding signed zeros and subnormals.
+    fn operand_pairs() -> Vec<(Vec<f64>, Vec<f64>)> {
+        let mut pairs: Vec<(Vec<f64>, Vec<f64>)> =
+            [(1, 1), (5, 3), (40, 7), (3, 8), (10, 1), (256, 25)]
+                .into_iter()
+                .enumerate()
+                .map(|(i, (ls, lk))| {
+                    let i = i as u64;
+                    (pseudo_random(ls, 80 + i), pseudo_random(lk, 90 + i))
+                })
+                .collect();
+        let odd = [-0.0, 5e-324, 0.0, f64::MIN_POSITIVE / 2.0, 0.75, -0.0, 1.0];
+        pairs.push((
+            odd.iter().cycle().take(30).copied().collect(),
+            odd[..5].to_vec(),
+        ));
+        pairs
+    }
+
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{what}: lag {i}: {a} vs oracle {b}"
+            );
+        }
+    }
+
+    /// The oracle's lens-1 bins `0..=n/2` of one operand at `origin`.
+    fn oracle_bins(g: PlaneGeometry, origin: usize, values: &[f64]) -> Vec<Complex64> {
+        let mut plane = vec![0.0; g.n];
+        plane[origin..origin + values.len()].copy_from_slice(values);
+        let mut bins = oracle::rfft(&plane);
+        bins.truncate(g.n / 2 + 1);
+        bins
+    }
+
+    #[test]
+    fn correlate_matches_the_oracle_bit_for_bit() {
+        for jtc in [Jtc::ideal(), Jtc::quantized()] {
+            for (signal, kernel) in operand_pairs() {
+                let (ls, lk) = (signal.len(), kernel.len());
+                let g = jtc.plane_geometry(ls, lk).unwrap();
+                // The pass as `correlate` composed it, on the oracle's
+                // transforms and readout.
+                let peak = signal.iter().chain(&kernel).fold(0.0_f64, |m, &v| m.max(v));
+                let scale = if peak > 0.0 { peak } else { 1.0 };
+                let encode = |v: f64| match &jtc.converters {
+                    Some((dac, _)) => dac.quantize(v / scale) * scale,
+                    None => v,
+                };
+                let encoded = |v: &[f64]| v.iter().map(|&x| encode(x)).collect::<Vec<_>>();
+                let input_plane = g.compose(&encoded(&signal), &encoded(&kernel));
+                let intensity: Vec<f64> = oracle::rfft(&input_plane)
+                    .iter()
+                    .map(|v| v.norm_sqr())
+                    .collect();
+                let plane = oracle::ifft_real(&intensity);
+                let lags = -(lk as isize - 1)..ls as isize;
+                let mut want = oracle::read_cross_term(&plane, g.sep, g.n, lags);
+                if let Some((_, adc)) = &jtc.converters {
+                    let fs = want.iter().fold(0.0_f64, |m, &v| m.max(v));
+                    if fs > 0.0 {
+                        for v in want.iter_mut() {
+                            *v = adc.reconstruct(adc.sample(*v, fs), fs);
+                        }
+                    }
+                }
+                let got = jtc.correlate(&signal, &kernel).unwrap();
+                let what = format!("quantized={} S={ls} K={lk}", jtc.has_converters());
+                assert_same_bits(got.full(), &want, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn detector_read_matches_the_oracle_bit_for_bit() {
+        let jtc = Jtc::ideal();
+        for (signal, kernel) in operand_pairs() {
+            let (ls, lk) = (signal.len(), kernel.len());
+            if lk > ls {
+                continue;
+            }
+            let g = jtc.plane_geometry(ls, lk).unwrap();
+            let mut detector = jtc.detector(g);
+            let mut want = vec![0.0; g.n / 2 + 1];
+            for (pass, field_scale) in [1.0, 1.03, 0.96].into_iter().enumerate() {
+                let seed = 100 + pass as u64;
+                let s: Vec<f64> = signal
+                    .iter()
+                    .zip(pseudo_random(ls, seed))
+                    .map(|(a, b)| a * b)
+                    .collect();
+                let k: Vec<f64> = kernel
+                    .iter()
+                    .zip(pseudo_random(lk, seed + 50))
+                    .map(|(a, b)| a * b)
+                    .collect();
+                let (s_bins, k_bins) = (oracle_bins(g, g.sep, &s), oracle_bins(g, 0, &k));
+                let signal_spectrum = jtc.signal_spectrum(g, &s).unwrap();
+                let kernel_spectrum = jtc.kernel_spectrum(g, &k).unwrap();
+                for (got, want) in [(&signal_spectrum, &s_bins), (&kernel_spectrum, &k_bins)] {
+                    let bits = |b: &[Complex64]| {
+                        b.iter()
+                            .map(|v| (v.re.to_bits(), v.im.to_bits()))
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(&got.bins), bits(want), "S={ls} K={lk} lens-1 bins");
+                }
+                detector.add(&signal_spectrum, &kernel_spectrum, field_scale);
+                for (acc, (&sb, &kb)) in want.iter_mut().zip(s_bins.iter().zip(&k_bins)) {
+                    let field = sb + kb;
+                    *acc += if field_scale == 1.0 {
+                        field.norm_sqr()
+                    } else {
+                        (field * field_scale).norm_sqr()
+                    };
+                }
+            }
+            let n = g.n;
+            let mirrored: Vec<f64> = (0..n).map(|k| want[k.min(n - k)]).collect();
+            let plane = oracle::ifft_real(&mirrored);
+            let want = oracle::read_cross_term(&plane, g.sep, n, g.valid_lags());
+            assert_same_bits(&detector.read_valid(), &want, &format!("S={ls} K={lk}"));
+        }
     }
 }
