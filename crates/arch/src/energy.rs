@@ -16,6 +16,12 @@
 //!   multiplied by the optical buffer's loss-compensation factor (Table 5).
 //! * **DRAM** (§7.3, off by default like the paper's headline numbers)
 //!   charges one weight stream per inference at HBM2 rates.
+//!
+//! Unit costs depend only on the configuration, so [`EnergyModel`]
+//! computes them once per model — converter and MRR energies, laser
+//! power, leakage, and the per-byte energy of every fixed SRAM macro — and
+//! each layer multiplies them by its activity. Only the bufferless
+//! accumulator macro is sized per layer, by the layer's input reuses.
 
 use crate::config::AcceleratorConfig;
 use crate::perf::{LayerPerf, NetworkPerf};
@@ -26,7 +32,7 @@ use refocus_memsim::hierarchy::Traffic;
 use refocus_memsim::sram::{Sram, KIB, MIB};
 use refocus_nn::layer::{ConvSpec, Network};
 use refocus_photonics::components::{Adc, Dac, Laser, Mrr};
-use refocus_photonics::units::{Joules, Seconds, Watts};
+use refocus_photonics::units::{Joules, PicoJoules, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -178,9 +184,10 @@ pub struct EnergyModel {
     mrr_energy_per_cycle: f64,
     laser_power: Watts,
     laser_compensation_power: Watts,
-    activation_sram: Sram,
-    weight_sram: Sram,
-    buffers: Option<DataBuffers>,
+    activation_sram_per_byte: PicoJoules,
+    weight_sram_per_byte: PicoJoules,
+    /// Input and output data-buffer macros, when the config has them.
+    buffers_per_byte: Option<(PicoJoules, PicoJoules)>,
     leakage: Watts,
     dram: Dram,
 }
@@ -240,8 +247,8 @@ impl EnergyModel {
 
         let activation_sram = Sram::new(4 * MIB);
         let weight_sram = Sram::new(512 * KIB);
-        let buffers = config.sram_buffers.then(|| {
-            DataBuffers::size(
+        let buffers_per_byte = config.sram_buffers.then(|| {
+            let buffers = DataBuffers::size(
                 DataflowCase::NextFilter,
                 &BufferParams {
                     tile: config.tile,
@@ -253,6 +260,10 @@ impl EnergyModel {
                     max_channels: 512,
                     ping_pong: true,
                 },
+            );
+            (
+                buffers.input_macro().energy_per_byte(),
+                buffers.output_macro().energy_per_byte(),
             )
         });
         let leakage = activation_sram.leakage() + weight_sram.leakage() * config.rfcus as f64;
@@ -266,9 +277,9 @@ impl EnergyModel {
             mrr_energy_per_cycle,
             laser_power,
             laser_compensation_power,
-            activation_sram,
-            weight_sram,
-            buffers,
+            activation_sram_per_byte: activation_sram.energy_per_byte(),
+            weight_sram_per_byte: weight_sram.energy_per_byte(),
+            buffers_per_byte,
             leakage,
             dram: Dram::hbm2(),
         }
@@ -333,23 +344,14 @@ impl EnergyModel {
 
         // --- Memory traffic: byte counts from the dataflow model. ---
         let traffic = crate::dataflow::layer_traffic(layer, perf, cfg);
-        let weight_sram = self
-            .weight_sram
-            .access_energy(traffic.weight_sram)
-            .to_joules();
-        let activation_sram = self
-            .activation_sram
-            .access_energy(traffic.activation_sram)
-            .to_joules();
-        let data_buffers = if let Some(buffers) = &self.buffers {
-            buffers
-                .input_macro()
-                .access_energy(traffic.input_buffer)
-                .to_joules()
-                + buffers
-                    .output_macro()
-                    .access_energy(traffic.output_buffer)
-                    .to_joules()
+        // `Sram::access_energy` is `energy_per_byte() * bytes`; the per-byte
+        // costs were computed once in `with_options`.
+        let weight_sram = (self.weight_sram_per_byte * traffic.weight_sram as f64).to_joules();
+        let activation_sram =
+            (self.activation_sram_per_byte * traffic.activation_sram as f64).to_joules();
+        let data_buffers = if let Some((input, output)) = self.buffers_per_byte {
+            (input * traffic.input_buffer as f64).to_joules()
+                + (output * traffic.output_buffer as f64).to_joules()
         } else {
             // No staging data buffers configured: partials still park in
             // the small per-RFCU accumulator macro intrinsic to the optical
@@ -679,6 +681,105 @@ mod tests {
         let (e, _, _) = run(&AcceleratorConfig::refocus_fb(), &net);
         let sum: f64 = e.rows().iter().map(|(_, v)| v.value()).sum();
         assert!((sum - e.total().value()).abs() < 1e-12);
+    }
+
+    /// `network_energy` as charged before the fixed macros' per-byte
+    /// energies were computed once per model: every layer calls
+    /// `Sram::access_energy` on the activation and weight SRAMs and on the
+    /// `DataBuffers` macros, all sized here the way `with_options` sizes them.
+    fn network_energy_oracle(
+        config: &AcceleratorConfig,
+        net: &Network,
+        perf: &NetworkPerf,
+    ) -> EnergyBreakdown {
+        let model = EnergyModel::new(config);
+        let activation_sram = Sram::new(4 * MIB);
+        let weight_sram = Sram::new(512 * KIB);
+        let buffers = config.sram_buffers.then(|| {
+            DataBuffers::size(
+                DataflowCase::NextFilter,
+                &BufferParams {
+                    tile: config.tile,
+                    delay_cycles: config.delay_cycles.max(1) as usize,
+                    wavelengths: config.wavelengths,
+                    reuses: (config.max_input_uses() - 1) as usize,
+                    rfcus: config.rfcus,
+                    max_filters: 512,
+                    max_channels: 512,
+                    ping_pong: true,
+                },
+            )
+        });
+        let mut total = EnergyBreakdown::default();
+        for (layer, lp) in net.layers().iter().zip(&perf.layers) {
+            let (mut energy, traffic) = model.layer_accounting(layer, lp);
+            energy.weight_sram = weight_sram.access_energy(traffic.weight_sram).to_joules();
+            energy.activation_sram = activation_sram
+                .access_energy(traffic.activation_sram)
+                .to_joules();
+            if let Some(buffers) = &buffers {
+                energy.data_buffers = buffers
+                    .input_macro()
+                    .access_energy(traffic.input_buffer)
+                    .to_joules()
+                    + buffers
+                        .output_macro()
+                        .access_energy(traffic.output_buffer)
+                        .to_joules();
+            }
+            total = total.merged(&energy);
+        }
+        total
+    }
+
+    #[test]
+    fn per_byte_energies_once_per_model_match_the_oracle_bit_for_bit() {
+        use crate::config::OpticalBufferKind;
+        use crate::dse::{design_point, Variant};
+        use crate::simulator::simulate;
+        let fb_2000 = AcceleratorConfig {
+            optical_buffer: OpticalBufferKind::FeedBack { reuses: 2000 },
+            ..AcceleratorConfig::refocus_fb()
+        };
+        // The config the simulator actually charges for `fb_2000`.
+        let applied = simulate(&models::resnet18(), &fb_2000)
+            .unwrap()
+            .degradation
+            .expect("2000 reuses overrun the detector budget")
+            .applied_reuses;
+        let fb_degraded = AcceleratorConfig {
+            optical_buffer: OpticalBufferKind::FeedBack { reuses: applied },
+            ..AcceleratorConfig::refocus_fb()
+        };
+        let dram_batch4 = AcceleratorConfig {
+            batch: 4,
+            include_dram: true,
+            ..design_point(Variant::FeedBack, 8, 2)
+        };
+        let configs = [
+            AcceleratorConfig::refocus_ff(),
+            AcceleratorConfig::refocus_fb(),
+            AcceleratorConfig::photofourier_baseline(),
+            AcceleratorConfig::single_jtc(),
+            dram_batch4,
+            fb_2000,
+            fb_degraded,
+        ];
+        let bits = |e: &EnergyBreakdown| -> Vec<(&str, u64)> {
+            e.rows()
+                .into_iter()
+                .map(|(label, j)| (label, j.value().to_bits()))
+                .collect()
+        };
+        for cfg in &configs {
+            cfg.validate().unwrap();
+            for net in &models::evaluation_suite() {
+                let perf = NetworkPerf::analyze(net, cfg).unwrap();
+                let got = EnergyModel::new(cfg).network_energy(net, &perf);
+                let want = network_energy_oracle(cfg, net, &perf);
+                assert_eq!(bits(&got), bits(&want), "{} on {}", net.name(), cfg.name);
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The one grid-execution core behind every resilient runner.
 //!
-//! [`FaultCampaign`](crate::campaign::FaultCampaign), the Table 4
-//! [`dse`](crate::dse) sweep and
-//! [`simulate_suite`](crate::simulator::simulate_suite) all evaluate a
-//! grid of independent items. [`run`] is the only place that:
+//! [`FaultCampaign`](crate::campaign::FaultCampaign) and the Table 4
+//! [`dse`](crate::dse) sweep both evaluate a grid of independent items.
+//! [`run`] is the only place that:
 //!
 //! * replays items already recorded in a [`Checkpoint`] journal;
 //! * enforces the [`RunBudget`] deadline and fresh-cell quota;
@@ -15,6 +14,11 @@
 //!
 //! Items fan out onto the `refocus-par` pool and outcomes come back in
 //! grid order, so a runner's report never depends on scheduling.
+//!
+//! [`simulate_suite`](crate::simulator::simulate_suite) is not a grid
+//! runner: it has no journal, budget or retry, and a network costs less
+//! than a parallel region, so it loops over its networks on the calling
+//! thread with the same per-item panic isolation.
 
 use crate::checkpoint::Checkpoint;
 use crate::error::{FailureKind, SimError};

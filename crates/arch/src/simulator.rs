@@ -2,18 +2,20 @@
 //!
 //! [`simulate`] runs one network through the performance, energy, and area
 //! models and returns a [`Report`]; [`simulate_suite`] covers a workload
-//! suite on the [`grid`] core and exposes per-network and geomean
-//! metrics — the shape of every evaluation in the paper's §6.
+//! suite and exposes per-network and geomean metrics — the shape of every
+//! evaluation in the paper's §6. The config-only models (dynamic-range
+//! fallback, energy model, area) are built once per call, however many
+//! networks then run against them.
 
 use crate::area::{area_breakdown, AreaBreakdown};
 use crate::config::{AcceleratorConfig, OpticalBufferKind};
 use crate::energy::{EnergyBreakdown, EnergyModel, EnergyOptions};
 use crate::error::{FailureKind, SimError};
-use crate::grid::{self, Outcome, RunBudget};
 use crate::metrics::{geomean, Metrics};
 use crate::perf::NetworkPerf;
 use refocus_nn::layer::Network;
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 
 /// Record of a graceful-degradation fallback the scheduler applied to keep
 /// an otherwise-infeasible configuration runnable (§5.4.2): the feedback
@@ -128,24 +130,73 @@ pub fn simulate_with_options(
     config: &AcceleratorConfig,
     options: EnergyOptions,
 ) -> Result<Report, SimError> {
-    let _sim = refocus_obs::span_with("simulate", || {
+    let _sim = simulate_span(network, config);
+    simulate_prepared(network, &Prepared::new(config, options))
+}
+
+/// A config ready for any number of networks. Its costing runs at most
+/// once, for the first network that reaches it, so every network meets
+/// the errors of [`simulate`] in the same order: invalid config, empty
+/// network, then dynamic range.
+struct Prepared<'a> {
+    config: &'a AcceleratorConfig,
+    options: EnergyOptions,
+    costed: OnceCell<Result<Costed, SimError>>,
+}
+
+/// The config-only models: the config after any dynamic-range fallback,
+/// with its energy model and area.
+struct Costed {
+    config: AcceleratorConfig,
+    degradation: Option<Degradation>,
+    model: EnergyModel,
+    area: AreaBreakdown,
+}
+
+impl<'a> Prepared<'a> {
+    fn new(config: &'a AcceleratorConfig, options: EnergyOptions) -> Self {
+        Prepared {
+            config,
+            options,
+            costed: OnceCell::new(),
+        }
+    }
+
+    fn costed(&self) -> Result<&Costed, SimError> {
+        let costed = self.costed.get_or_init(|| {
+            let (config, degradation) = match resolve_dynamic_range(self.config)? {
+                Some((degraded, record)) => (degraded, Some(record)),
+                None => (self.config.clone(), None),
+            };
+            Ok(Costed {
+                model: EnergyModel::with_options(&config, self.options),
+                area: area_breakdown(&config),
+                config,
+                degradation,
+            })
+        });
+        costed.as_ref().map_err(SimError::clone)
+    }
+}
+
+fn simulate_span(network: &Network, config: &AcceleratorConfig) -> refocus_obs::Span {
+    refocus_obs::span_with("simulate", || {
         format!("net={} cfg={}", network.name(), config.name)
-    });
-    config.validate()?;
+    })
+}
+
+/// The per-network half of a simulation.
+fn simulate_prepared(network: &Network, prepared: &Prepared) -> Result<Report, SimError> {
+    prepared.config.validate()?;
     if network.layers().is_empty() {
         return Err(SimError::EmptyNetwork {
             network: network.name().to_string(),
         });
     }
-    let resolved = resolve_dynamic_range(config)?;
-    let (config, degradation) = match &resolved {
-        Some((degraded, record)) => (degraded, Some(*record)),
-        None => (config, None),
-    };
+    let costed = prepared.costed()?;
+    let (config, area) = (&costed.config, &costed.area);
     let perf = NetworkPerf::analyze(network, config)?;
-    let model = EnergyModel::with_options(config, options);
-    let energy = model.network_energy(network, &perf);
-    let area = area_breakdown(config);
+    let energy = costed.model.network_energy(network, &perf);
     let latency = perf.latency(config);
     let metrics = Metrics {
         fps: perf.fps(config),
@@ -170,7 +221,7 @@ pub fn simulate_with_options(
         ],
     )?;
     if refocus_obs::recording() {
-        crate::attribution::record_area(&config.name, &area);
+        crate::attribution::record_area(&config.name, area);
         crate::attribution::record_metrics(&config.name, network.name(), &metrics);
     }
     Ok(Report {
@@ -178,9 +229,9 @@ pub fn simulate_with_options(
         network_name: network.name().to_string(),
         perf,
         energy,
-        area,
+        area: *area,
         metrics,
-        degradation,
+        degradation: costed.degradation,
     })
 }
 
@@ -294,27 +345,26 @@ pub fn simulate_suite(
         return Err(SimError::EmptySuite);
     }
     let _suite = refocus_obs::span_with("simulate_suite", || format!("networks={}", suite.len()));
-    // A network's report is a pure function of its inputs, so a retry
-    // could not change it: the suite runs strict.
-    let outcomes = grid::run(
-        "simulate_suite.network",
-        suite,
-        |net| net.name().to_string(),
-        |_, net, _| simulate(net, config),
-        &RunBudget::strict(),
-        None,
-    );
+    // The config is costed once for every network. A network costs a few
+    // microseconds, less than a parallel region's fixed cost, so the
+    // networks run inline, each isolated from another's panic.
+    let prepared = Prepared::new(config, EnergyOptions::default());
     let mut reports = Vec::new();
     let mut failed = Vec::new();
-    for (net, outcome) in suite.iter().zip(outcomes) {
-        match outcome {
-            Outcome::Done(report) => reports.push(report),
-            Outcome::Failed { kind, error, .. } => failed.push(SuiteFailure {
+    for (item, net) in suite.iter().enumerate() {
+        let _network = refocus_obs::span_with("simulate_suite.network", || net.name().to_string());
+        let result = refocus_par::catch_item(|| {
+            let _sim = simulate_span(net, config);
+            simulate_prepared(net, &prepared)
+        })
+        .unwrap_or_else(|message| Err(SimError::WorkerPanic { item, message }));
+        match result {
+            Ok(report) => reports.push(report),
+            Err(error) => failed.push(SuiteFailure {
                 network: net.name().to_string(),
-                kind,
-                error,
+                kind: error.kind(),
+                error: error.to_string(),
             }),
-            Outcome::Skipped(_) => unreachable!("a strict budget never skips"),
         }
     }
     Ok(SuiteReport {
@@ -506,6 +556,141 @@ mod tests {
         assert!(s.for_network("ResNet-18").is_some());
         assert!(s.for_network("AlexNet").is_some());
         assert!(s.geomean_fps() > 0.0, "geomeans aggregate the survivors");
+    }
+
+    /// `simulate_suite` as a plain loop of `simulate`.
+    fn suite_oracle(suite: &[Network], config: &AcceleratorConfig) -> SuiteReport {
+        let mut reports = Vec::new();
+        let mut failed = Vec::new();
+        for net in suite {
+            match simulate(net, config) {
+                Ok(report) => reports.push(report),
+                Err(error) => failed.push(SuiteFailure {
+                    network: net.name().to_string(),
+                    kind: error.kind(),
+                    error: error.to_string(),
+                }),
+            }
+        }
+        SuiteReport {
+            config_name: config.name.clone(),
+            reports,
+            failed,
+        }
+    }
+
+    #[test]
+    fn suite_equals_a_loop_of_simulate_at_every_thread_count() {
+        let empty: Network = serde_json::from_str(r#"{"name":"empty-net","layers":[]}"#)
+            .expect("hand-written network JSON parses");
+        let full = models::evaluation_suite();
+        let mut with_empty = full.clone();
+        with_empty.insert(2, empty);
+        let fb = AcceleratorConfig::refocus_fb;
+        let invalid = AcceleratorConfig { rfcus: 0, ..fb() };
+        let degraded = AcceleratorConfig {
+            optical_buffer: OpticalBufferKind::FeedBack { reuses: 2000 },
+            ..fb()
+        };
+        let unresolvable = AcceleratorConfig {
+            optical_buffer: OpticalBufferKind::FeedBack { reuses: 1 },
+            delay_cycles: 60_000,
+            temporal_accumulation: 16,
+            ..fb()
+        };
+        let configs = [
+            AcceleratorConfig::refocus_ff(),
+            fb(),
+            AcceleratorConfig::photofourier_baseline(),
+            invalid.clone(),
+            degraded.clone(),
+            unresolvable.clone(),
+        ];
+        for cfg in &configs {
+            for suite in [&full, &with_empty] {
+                let want = suite_oracle(suite, cfg);
+                for threads in [1, 2, 8] {
+                    let got = refocus_par::with_threads(threads, || simulate_suite(suite, cfg))
+                        .expect("non-empty suite");
+                    let context = format!(
+                        "{} networks on {} at {threads} threads",
+                        suite.len(),
+                        cfg.name
+                    );
+                    assert_eq!(got, want, "{context}");
+                    // Bit for bit, signed zeros included.
+                    assert_eq!(
+                        serde_json::to_string(&got).unwrap(),
+                        serde_json::to_string(&want).unwrap(),
+                        "{context}"
+                    );
+                }
+            }
+        }
+
+        // What the loop says, spelled out for the failing configs.
+        let s = simulate_suite(&with_empty, &invalid).unwrap();
+        assert!(s.reports.is_empty());
+        assert_eq!(s.failed.len(), with_empty.len());
+        for f in &s.failed {
+            assert_eq!(f.kind, FailureKind::Config, "{}", f.network);
+            assert_eq!(f.error, s.failed[0].error);
+        }
+        let s = simulate_suite(&full, &degraded).unwrap();
+        assert!(s.is_complete());
+        assert!(s.reports.iter().all(|r| r.degradation.is_some()));
+        // The empty-network check comes before the dynamic-range one.
+        let s = simulate_suite(&with_empty, &unresolvable).unwrap();
+        let kinds: Vec<FailureKind> = s.failed.iter().map(|f| f.kind).collect();
+        let mut want = vec![FailureKind::DynamicRange; with_empty.len()];
+        want[2] = FailureKind::Empty;
+        assert_eq!(kinds, want);
+    }
+
+    #[test]
+    fn panicking_network_is_isolated_from_the_suite() {
+        // A deserialized layer with no input channels bypasses
+        // `ConvSpec::new`'s checks and divides by zero inside the models.
+        let broken: Network = serde_json::from_str(
+            r#"{"name":"broken","layers":[{"name":"c","in_channels":0,"out_channels":8,
+                "kernel":3,"stride":1,"padding":1,"input_hw":[32,32]}]}"#,
+        )
+        .expect("hand-written network JSON parses");
+        let suite = [models::alexnet(), broken, models::resnet18()];
+        let s = simulate_suite(&suite, &AcceleratorConfig::refocus_fb()).unwrap();
+        assert_eq!(s.reports.len(), 2);
+        assert_eq!(s.failed.len(), 1);
+        assert_eq!(s.failed[0].network, "broken");
+        assert_eq!(s.failed[0].kind, FailureKind::WorkerPanic);
+        assert!(
+            s.failed[0].error.starts_with("worker panicked on item 1: "),
+            "{}",
+            s.failed[0].error
+        );
+
+        // A validated config whose costing panics (the optimal split of
+        // `u32::MAX` reuses overflows) fails every non-empty network on its
+        // own; the empty one still reports `EmptyNetwork` first.
+        let empty: Network = serde_json::from_str(r#"{"name":"empty-net","layers":[]}"#)
+            .expect("hand-written network JSON parses");
+        let cfg = AcceleratorConfig {
+            optical_buffer: OpticalBufferKind::FeedBack { reuses: u32::MAX },
+            ..AcceleratorConfig::refocus_fb()
+        };
+        cfg.validate().unwrap();
+        let suite = [models::alexnet(), empty, models::resnet18()];
+        let s = simulate_suite(&suite, &cfg).unwrap();
+        assert!(s.reports.is_empty());
+        let kinds: Vec<FailureKind> = s.failed.iter().map(|f| f.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                FailureKind::WorkerPanic,
+                FailureKind::Empty,
+                FailureKind::WorkerPanic
+            ]
+        );
+        assert!(s.failed[2].error.starts_with("worker panicked on item 2: "));
     }
 
     #[test]

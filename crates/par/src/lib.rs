@@ -4,8 +4,8 @@
 //!
 //! The simulator's hot loops are *coarse-grained fan-outs* over independent
 //! work items — output channels of a convolution, (severity, seed) cells of
-//! a fault campaign, networks of an evaluation suite, delay-line lengths of
-//! a DSE sweep. This crate parallelizes exactly that shape:
+//! a fault campaign, delay-line lengths of a DSE sweep. This crate
+//! parallelizes exactly that shape:
 //!
 //! * [`par_map`] / [`par_map_indexed`] — map a function over a slice on a
 //!   scoped work-stealing worker team, returning results in **input order**.
