@@ -1,8 +1,8 @@
 //! Append-only JSON-lines journals for resumable grid runs.
 //!
 //! A [`Checkpoint<T>`] persists completed work-item results keyed by a
-//! caller-chosen string (the campaign uses `"<severity-bits>:<seed>"`,
-//! the DSE sweep uses the delay-line length). The file format is
+//! caller-chosen string (the fault campaign uses
+//! `"<severity-bits>:<seed>"`). The file format is
 //! JSON-lines: a header line carrying a *fingerprint* of the run
 //! configuration, then one `{"key": ..., "value": ...}` record per
 //! completed cell. On resume the runner skips journaled keys and reuses

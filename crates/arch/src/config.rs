@@ -69,6 +69,10 @@ pub enum ConfigError {
     },
     /// An optical buffer requires a delay line.
     BufferWithoutDelay,
+    /// More feedback reuses than the buffer model can count: `R` above
+    /// `i32::MAX`, the largest exponent its replay-attenuation power
+    /// `ρ^R` takes.
+    TooManyReuses(u32),
 }
 
 impl fmt::Display for ConfigError {
@@ -87,6 +91,9 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::BufferWithoutDelay => {
                 write!(f, "an optical buffer requires a non-zero delay line")
+            }
+            ConfigError::TooManyReuses(reuses) => {
+                write!(f, "{reuses} feedback reuses exceed the limit of {}", i32::MAX)
             }
         }
     }
@@ -196,9 +203,10 @@ impl AcceleratorConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] for zero counts, too many wavelengths,
-    /// temporal accumulation exceeding the delay line (when an optical
-    /// buffer is present, §4.1.4), or a buffer without a delay line.
+    /// Returns [`ConfigError`] for zero counts, too many wavelengths, more
+    /// than `i32::MAX` feedback reuses, temporal accumulation exceeding
+    /// the delay line (when an optical buffer is present, §4.1.4), or a
+    /// buffer without a delay line.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.tile == 0 {
             return Err(ConfigError::ZeroParameter("tile"));
@@ -228,8 +236,13 @@ impl AcceleratorConfig {
         if self.wavelengths > refocus_photonics::dispersion::MAX_WAVELENGTHS {
             return Err(ConfigError::TooManyWavelengths(self.wavelengths));
         }
-        if self.optical_buffer == (OpticalBufferKind::FeedBack { reuses: 0 }) {
-            return Err(ConfigError::ZeroParameter("reuses"));
+        if let OpticalBufferKind::FeedBack { reuses } = self.optical_buffer {
+            if reuses == 0 {
+                return Err(ConfigError::ZeroParameter("reuses"));
+            }
+            if i32::try_from(reuses).is_err() {
+                return Err(ConfigError::TooManyReuses(reuses));
+            }
         }
         if self.optical_buffer != OpticalBufferKind::None {
             if self.delay_cycles == 0 {
@@ -396,6 +409,20 @@ mod tests {
             ..AcceleratorConfig::refocus_ff()
         };
         assert_eq!(cfg.validate(), Err(ConfigError::BufferWithoutDelay));
+    }
+
+    #[test]
+    fn reuse_counts_above_i32_max_rejected() {
+        let with_reuses = |reuses| AcceleratorConfig {
+            optical_buffer: OpticalBufferKind::FeedBack { reuses },
+            ..AcceleratorConfig::refocus_fb()
+        };
+        assert_eq!(with_reuses(i32::MAX as u32).validate(), Ok(()));
+        for reuses in [i32::MAX as u32 + 1, u32::MAX] {
+            let err = with_reuses(reuses).validate().unwrap_err();
+            assert_eq!(err, ConfigError::TooManyReuses(reuses));
+            assert!(err.to_string().contains(&reuses.to_string()), "{err}");
+        }
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! RFCUs — which is why ReFOCUS ships with 16 (the nearest power of two).
 
 use crate::area::area_breakdown;
-use crate::checkpoint::Checkpoint;
 use crate::config::{AcceleratorConfig, OpticalBufferKind};
 use crate::error::{FailureKind, SimError};
 use crate::grid::{self, Outcome, RunBudget};
@@ -17,7 +16,6 @@ use crate::metrics::geomean_ratio;
 use crate::simulator::simulate;
 use refocus_nn::layer::Network;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
 
 /// The paper's photonic area budget (§5.4.1).
 pub const PHOTONIC_AREA_BUDGET_MM2: f64 = 150.0;
@@ -69,9 +67,7 @@ pub struct FailedDesignPoint {
 ///
 /// Rows are only emitted when the `M = 1` baseline completed — every
 /// relative metric is defined against it. If the baseline itself failed,
-/// `rows` is empty and `failed` explains why (successful non-baseline
-/// points stay in the checkpoint journal, so fixing the baseline and
-/// resuming does not recompute them).
+/// `rows` is empty and `failed` explains why.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepReport {
     /// One row per completed design point, sweep order.
@@ -135,7 +131,6 @@ pub fn max_rfcus(variant: Variant, delay_cycles: u32, budget_mm2: f64) -> usize 
 }
 
 /// Per-delay-length sample: (M, N_RFCU, per-network FPS/W, FPS/mm²).
-/// A plain tuple so it round-trips through the checkpoint journal.
 type PerM = (u32, usize, Vec<f64>, Vec<f64>);
 
 /// Runs the full Table 4 sweep for one variant over `suite`.
@@ -159,65 +154,6 @@ pub fn sweep_with_budget(
     suite: &[Network],
     budget_mm2: f64,
 ) -> Result<SweepReport, SimError> {
-    sweep_impl(variant, suite, budget_mm2, None)
-}
-
-/// [`sweep_with_budget`] journaling completed design points to `path`,
-/// resuming from the journal if it already exists.
-///
-/// # Errors
-///
-/// Same conditions as [`sweep_with_budget`], plus
-/// [`SimError::Checkpoint`] for journal I/O failures or a fingerprint
-/// mismatch.
-pub fn sweep_checkpointed(
-    variant: Variant,
-    suite: &[Network],
-    budget_mm2: f64,
-    path: &Path,
-) -> Result<SweepReport, SimError> {
-    let mut journal =
-        Checkpoint::load_or_create(path, &sweep_fingerprint(variant, suite, budget_mm2))?;
-    sweep_impl(variant, suite, budget_mm2, Some(&mut journal))
-}
-
-/// Resumes a previously checkpointed sweep from `path`, which must
-/// exist. Journaled design points are replayed verbatim; the rest run,
-/// and — each point being a pure function of (variant, suite, budget) —
-/// the report is bit-identical to an uninterrupted sweep.
-///
-/// # Errors
-///
-/// Same conditions as [`sweep_checkpointed`], but a missing journal is
-/// an error rather than a fresh start.
-pub fn sweep_resume(
-    variant: Variant,
-    suite: &[Network],
-    budget_mm2: f64,
-    path: &Path,
-) -> Result<SweepReport, SimError> {
-    let mut journal = Checkpoint::load(path, &sweep_fingerprint(variant, suite, budget_mm2))?;
-    sweep_impl(variant, suite, budget_mm2, Some(&mut journal))
-}
-
-/// Fingerprint of everything that determines design-point values.
-/// Suites are identified by network name — the model zoo is static, so
-/// names pin the layer stacks.
-fn sweep_fingerprint(variant: Variant, suite: &[Network], budget_mm2: f64) -> String {
-    let names: Vec<&str> = suite.iter().map(Network::name).collect();
-    format!(
-        "dse-v1|{variant:?}|{:016x}|{}",
-        budget_mm2.to_bits(),
-        names.join(",")
-    )
-}
-
-fn sweep_impl(
-    variant: Variant,
-    suite: &[Network],
-    budget_mm2: f64,
-    journal: Option<&mut Checkpoint<PerM>>,
-) -> Result<SweepReport, SimError> {
     if suite.is_empty() {
         return Err(SimError::EmptySuite);
     }
@@ -229,7 +165,7 @@ fn sweep_impl(
         u32::to_string,
         |_, &m, _| run_design_point(variant, suite, budget_mm2, m),
         &RunBudget::strict(),
-        journal,
+        None,
     );
     let mut per_m = Vec::new();
     let mut failed = Vec::new();
@@ -391,68 +327,6 @@ mod tests {
         assert_eq!(cfg.delay_cycles, 8);
         assert_eq!(cfg.temporal_accumulation, 8);
         cfg.validate().expect("table 4 design point is valid");
-    }
-
-    fn scratch(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("refocus-dse-{name}-{}", std::process::id()));
-        p
-    }
-
-    #[test]
-    fn partial_journal_resume_is_bit_identical() {
-        let suite = [models::resnet34()];
-        let path = scratch("partial");
-        let _ = std::fs::remove_file(&path);
-        // Journal only the baseline, as if the sweep was killed after
-        // its first design point.
-        let fingerprint = sweep_fingerprint(Variant::FeedForward, &suite, PHOTONIC_AREA_BUDGET_MM2);
-        let mut journal: Checkpoint<PerM> =
-            Checkpoint::create(&path, &fingerprint).expect("journal creates in temp dir");
-        let baseline = run_design_point(Variant::FeedForward, &suite, PHOTONIC_AREA_BUDGET_MM2, 1)
-            .expect("baseline design point runs");
-        journal.append("1", baseline).expect("baseline journals");
-        drop(journal);
-
-        let resumed = sweep_resume(
-            Variant::FeedForward,
-            &suite,
-            PHOTONIC_AREA_BUDGET_MM2,
-            &path,
-        )
-        .expect("resume completes");
-        let uninterrupted = sweep(Variant::FeedForward, &suite).expect("reference sweep runs");
-        assert_eq!(resumed, uninterrupted);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn resume_requires_an_existing_journal() {
-        let suite = [models::resnet34()];
-        let path = scratch("missing");
-        let _ = std::fs::remove_file(&path);
-        let err = sweep_resume(
-            Variant::FeedForward,
-            &suite,
-            PHOTONIC_AREA_BUDGET_MM2,
-            &path,
-        )
-        .expect_err("missing journal must be an error");
-        assert!(matches!(err, SimError::Checkpoint { .. }), "got {err:?}");
-    }
-
-    #[test]
-    fn checkpointed_sweep_is_idempotent() {
-        let suite = [models::resnet34()];
-        let path = scratch("idempotent");
-        let _ = std::fs::remove_file(&path);
-        let first = sweep_checkpointed(Variant::FeedBack, &suite, PHOTONIC_AREA_BUDGET_MM2, &path)
-            .expect("checkpointed sweep runs");
-        // Second invocation replays every point from the journal.
-        let second = sweep_checkpointed(Variant::FeedBack, &suite, PHOTONIC_AREA_BUDGET_MM2, &path)
-            .expect("replayed sweep runs");
-        assert_eq!(first, second);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

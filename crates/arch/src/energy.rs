@@ -157,18 +157,12 @@ impl fmt::Display for EnergyBreakdown {
 pub struct EnergyOptions {
     /// Multiplier (≤ 1) on weight-DAC loads from §7.3 channel reordering.
     pub weight_dac_load_factor: f64,
-    /// Multiplier (≥ 1) on laser power budgeted against worst-case laser
-    /// drift: a drift-tolerant design over-provisions so the weakest
-    /// excursion still delivers minimum detectable power. Derive it with
-    /// [`FaultSpec::laser_margin`](refocus_photonics::faults::FaultSpec::laser_margin).
-    pub laser_fault_margin: f64,
 }
 
 impl Default for EnergyOptions {
     fn default() -> Self {
         Self {
             weight_dac_load_factor: 1.0,
-            laser_fault_margin: 1.0,
         }
     }
 }
@@ -210,10 +204,6 @@ impl EnergyModel {
             options.weight_dac_load_factor > 0.0 && options.weight_dac_load_factor <= 1.0,
             "weight DAC load factor must be in (0,1]"
         );
-        assert!(
-            options.laser_fault_margin >= 1.0 && options.laser_fault_margin.is_finite(),
-            "laser fault margin must be finite and >= 1"
-        );
         let counts = ComponentCounts::of(config);
         let dac = Dac::at_clock(config.clock);
         // Energy per conversion is rate-independent (linear power scaling).
@@ -229,10 +219,8 @@ impl EnergyModel {
         let min = laser.min_power().to_watts().value();
         let input_sources = (config.tile * config.wavelengths) as f64;
         let weight_sources = (config.weight_waveguides * config.wavelengths * config.rfcus) as f64;
-        let laser_power = Watts::new(
-            min * (input_sources * config.laser_overhead() + weight_sources)
-                * options.laser_fault_margin,
-        );
+        let laser_power =
+            Watts::new(min * (input_sources * config.laser_overhead() + weight_sources));
         // The share of that emission spent purely on compensating the
         // optical buffer's losses (zero without a buffer) — booked in the
         // attribution ledger as the buffer's laser overhead.
@@ -241,8 +229,7 @@ impl EnergyModel {
                 .compensation_power(config.laser_overhead())
                 .to_watts()
                 .value()
-                * input_sources
-                * options.laser_fault_margin,
+                * input_sources,
         );
 
         let activation_sram = Sram::new(4 * MIB);
@@ -642,37 +629,10 @@ mod tests {
         let base = EnergyModel::new(&cfg).network_energy(&net, &perf);
         let opts = EnergyOptions {
             weight_dac_load_factor: 0.85,
-            ..EnergyOptions::default()
         };
         let opt = EnergyModel::with_options(&cfg, opts).network_energy(&net, &perf);
         let ratio = opt.weight_dac / base.weight_dac;
         assert!((ratio - 0.85).abs() < 1e-9);
-    }
-
-    #[test]
-    fn laser_fault_margin_scales_laser_power() {
-        use refocus_photonics::faults::FaultSpec;
-        let cfg = AcceleratorConfig::refocus_fb();
-        let base = EnergyModel::new(&cfg);
-        let spec = FaultSpec::none().with_laser_drift(0.01, 0.1);
-        let opts = EnergyOptions {
-            laser_fault_margin: spec.laser_margin(),
-            ..EnergyOptions::default()
-        };
-        let margined = EnergyModel::with_options(&cfg, opts);
-        let ratio = margined.laser_power() / base.laser_power();
-        // 10% drift limit ⇒ 1/(1-0.1) ≈ 1.111 over-provisioning.
-        assert!((ratio - 1.0 / 0.9).abs() < 1e-9, "ratio = {ratio}");
-    }
-
-    #[test]
-    #[should_panic(expected = "laser fault margin")]
-    fn sub_unit_laser_margin_rejected() {
-        let opts = EnergyOptions {
-            laser_fault_margin: 0.5,
-            ..EnergyOptions::default()
-        };
-        let _ = EnergyModel::with_options(&AcceleratorConfig::refocus_fb(), opts);
     }
 
     #[test]

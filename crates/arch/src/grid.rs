@@ -1,7 +1,8 @@
 //! The one grid-execution core behind every resilient runner.
 //!
 //! [`FaultCampaign`](crate::campaign::FaultCampaign) and the Table 4
-//! [`dse`](crate::dse) sweep both evaluate a grid of independent items.
+//! [`dse`](crate::dse) sweep both evaluate a grid of independent items;
+//! only the campaign journals its items (the sweep takes milliseconds).
 //! [`run`] is the only place that:
 //!
 //! * replays items already recorded in a [`Checkpoint`] journal;

@@ -25,7 +25,7 @@
 //! * [`grid`] — the one grid-execution core (journal replay, budgets,
 //!   panic isolation, retries) behind the campaign, DSE and suite runners.
 //! * [`checkpoint`] — append-only JSON-lines journals for resumable
-//!   campaign and DSE runs.
+//!   fault campaigns.
 //! * [`attribution`] — per-layer × per-component telemetry ledger
 //!   (joules / cycles / bytes) recorded into `refocus-obs`, plus the
 //!   shared breakdown math the experiments render.

@@ -73,33 +73,41 @@ fn resolve_dynamic_range(
     }
     let supported = refocus_photonics::components::Photodetector::new().dynamic_range();
     let requested_dynamic_range = config.signal_dynamic_range();
-    let OpticalBufferKind::FeedBack { reuses } = config.optical_buffer else {
-        return Err(SimError::DynamicRange {
-            required: requested_dynamic_range,
-            supported,
-        });
-    };
-    // Dynamic range grows monotonically with R (at optimal split), so the
-    // first feasible value walking down is the largest feasible one.
-    for applied in (1..reuses).rev() {
-        let candidate = AcceleratorConfig {
-            optical_buffer: OpticalBufferKind::FeedBack { reuses: applied },
-            ..config.clone()
-        };
-        if candidate.dynamic_range_feasible() {
-            let record = Degradation {
-                requested_reuses: reuses,
-                applied_reuses: applied,
-                requested_dynamic_range,
-                applied_dynamic_range: candidate.signal_dynamic_range(),
-            };
-            return Ok(Some((candidate, record)));
-        }
-    }
-    Err(SimError::DynamicRange {
+    let unrecoverable = SimError::DynamicRange {
         required: requested_dynamic_range,
         supported,
-    })
+    };
+    let OpticalBufferKind::FeedBack { reuses } = config.optical_buffer else {
+        return Err(unrecoverable);
+    };
+    let with_reuses = |applied| AcceleratorConfig {
+        optical_buffer: OpticalBufferKind::FeedBack { reuses: applied },
+        ..config.clone()
+    };
+    // Dynamic range grows monotonically with R (at optimal split), so the
+    // largest feasible R below the requested one is found by bisection:
+    // `feasible` fits the budget (0 standing for "no count found yet")
+    // and `infeasible` does not.
+    let (mut feasible, mut infeasible) = (0, reuses);
+    while infeasible - feasible > 1 {
+        let mid = feasible + (infeasible - feasible) / 2;
+        if with_reuses(mid).dynamic_range_feasible() {
+            feasible = mid;
+        } else {
+            infeasible = mid;
+        }
+    }
+    if feasible == 0 {
+        return Err(unrecoverable);
+    }
+    let candidate = with_reuses(feasible);
+    let record = Degradation {
+        requested_reuses: reuses,
+        applied_reuses: feasible,
+        requested_dynamic_range,
+        applied_dynamic_range: candidate.signal_dynamic_range(),
+    };
+    Ok(Some((candidate, record)))
 }
 
 /// Simulates `network` on `config` with default energy options.
@@ -668,29 +676,20 @@ mod tests {
             s.failed[0].error
         );
 
-        // A validated config whose costing panics (the optimal split of
-        // `u32::MAX` reuses overflows) fails every non-empty network on its
-        // own; the empty one still reports `EmptyNetwork` first.
+        // `u32::MAX` reuses is not a count the buffer model can take, so
+        // validation fails every network, the empty one included, before
+        // any model runs.
         let empty: Network = serde_json::from_str(r#"{"name":"empty-net","layers":[]}"#)
             .expect("hand-written network JSON parses");
         let cfg = AcceleratorConfig {
             optical_buffer: OpticalBufferKind::FeedBack { reuses: u32::MAX },
             ..AcceleratorConfig::refocus_fb()
         };
-        cfg.validate().unwrap();
         let suite = [models::alexnet(), empty, models::resnet18()];
         let s = simulate_suite(&suite, &cfg).unwrap();
         assert!(s.reports.is_empty());
         let kinds: Vec<FailureKind> = s.failed.iter().map(|f| f.kind).collect();
-        assert_eq!(
-            kinds,
-            [
-                FailureKind::WorkerPanic,
-                FailureKind::Empty,
-                FailureKind::WorkerPanic
-            ]
-        );
-        assert!(s.failed[2].error.starts_with("worker panicked on item 2: "));
+        assert_eq!(kinds, [FailureKind::Config; 3]);
     }
 
     #[test]
@@ -708,6 +707,74 @@ mod tests {
         for failure in &s.failed {
             assert_eq!(failure.kind, crate::error::FailureKind::DynamicRange);
         }
+    }
+
+    #[test]
+    fn bisection_finds_the_reuse_count_the_downward_walk_found() {
+        use crate::dse::{design_point, Variant, TABLE4_DELAY_CYCLES};
+        for m in TABLE4_DELAY_CYCLES {
+            let with_reuses = |reuses| AcceleratorConfig {
+                optical_buffer: OpticalBufferKind::FeedBack { reuses },
+                ..design_point(Variant::FeedBack, m, 16)
+            };
+            // The fallback used to walk `(1..R).rev()` and take the first
+            // feasible count: the largest feasible count below R, which
+            // this loop tracks as R grows.
+            let mut largest_feasible_below = None;
+            for reuses in 1..=4096 {
+                let config = with_reuses(reuses);
+                let feasible = config.dynamic_range_feasible();
+                let got = resolve_dynamic_range(&config).map(|resolved| {
+                    resolved.map(|(degraded, record)| {
+                        assert_eq!(degraded, with_reuses(record.applied_reuses));
+                        assert_eq!(record.requested_reuses, reuses);
+                        assert_eq!(
+                            record.requested_dynamic_range.to_bits(),
+                            config.signal_dynamic_range().to_bits()
+                        );
+                        assert_eq!(
+                            record.applied_dynamic_range.to_bits(),
+                            degraded.signal_dynamic_range().to_bits()
+                        );
+                        record.applied_reuses
+                    })
+                });
+                let want = match (feasible, largest_feasible_below) {
+                    (true, _) => Ok(None),
+                    (false, Some(applied)) => Ok(Some(applied)),
+                    (false, None) => Err(FailureKind::DynamicRange),
+                };
+                assert_eq!(got.map_err(|e| e.kind()), want, "M = {m}, R = {reuses}");
+                if feasible {
+                    largest_feasible_below = Some(reuses);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn largest_valid_reuse_count_degrades_without_panicking() {
+        let cfg = AcceleratorConfig {
+            optical_buffer: OpticalBufferKind::FeedBack {
+                reuses: i32::MAX as u32,
+            },
+            ..AcceleratorConfig::refocus_fb()
+        };
+        cfg.validate().expect("i32::MAX reuses is a valid count");
+        let report = simulate(&models::resnet18(), &cfg).expect("the count degrades");
+        let d = report.degradation.expect("fallback must be recorded");
+        assert_eq!(d.requested_reuses, i32::MAX as u32);
+        let default_fallback = simulate(
+            &models::resnet18(),
+            &AcceleratorConfig {
+                optical_buffer: OpticalBufferKind::FeedBack { reuses: 200 },
+                ..AcceleratorConfig::refocus_fb()
+            },
+        )
+        .expect("200 reuses degrade")
+        .degradation
+        .expect("fallback must be recorded");
+        assert_eq!(d.applied_reuses, default_fallback.applied_reuses);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Resilient-execution contract of the campaign and DSE runners.
+//! Resilient-execution contract of the fault-campaign runner.
 //!
 //! Pins the properties DESIGN.md §9 promises: a run killed mid-grid and
 //! resumed from its journal is bit-identical to an uninterrupted run at
@@ -11,9 +11,7 @@ use refocus_arch::campaign::{
     CampaignReport, ChaosEvent, ChaosSpec, FaultCampaign, RunBudget, Workload,
 };
 use refocus_arch::config::AcceleratorConfig;
-use refocus_arch::dse::{self, Variant, PHOTONIC_AREA_BUDGET_MM2};
 use refocus_arch::error::{FailureKind, SimError};
-use refocus_nn::models;
 use refocus_photonics::faults::FaultSpec;
 use std::path::PathBuf;
 
@@ -215,40 +213,4 @@ fn journal_fingerprint_rejects_a_different_campaign() {
         .expect_err("mismatched fingerprint must fail");
     let _ = std::fs::remove_file(&path);
     assert!(matches!(err, SimError::Checkpoint { .. }), "got {err:?}");
-}
-
-/// The DSE sweep honors the same journal contract: a journal holding
-/// only some design points resumes to a report bit-identical to an
-/// uninterrupted sweep, at every thread count.
-#[test]
-fn dse_sweep_resume_is_bit_identical_at_every_thread_count() {
-    let suite = [models::resnet34()];
-    let uninterrupted =
-        dse::sweep(Variant::FeedForward, &suite).expect("uninterrupted sweep completes");
-    for &threads in &THREAD_COUNTS {
-        let resumed = refocus_par::with_threads(threads, || {
-            let path = scratch(&format!("dse-{threads}"));
-            let _ = std::fs::remove_file(&path);
-            dse::sweep_checkpointed(
-                Variant::FeedForward,
-                &suite,
-                PHOTONIC_AREA_BUDGET_MM2,
-                &path,
-            )
-            .expect("checkpointed sweep completes");
-            let resumed = dse::sweep_resume(
-                Variant::FeedForward,
-                &suite,
-                PHOTONIC_AREA_BUDGET_MM2,
-                &path,
-            )
-            .expect("journal replay completes");
-            let _ = std::fs::remove_file(&path);
-            resumed
-        });
-        assert_eq!(
-            resumed, uninterrupted,
-            "{threads}-thread DSE resume diverged"
-        );
-    }
 }

@@ -65,7 +65,6 @@ pub fn compute() -> Study {
     let ff34 = simulate(&models::resnet34(), &ff).expect("maps");
     let opts = EnergyOptions {
         weight_dac_load_factor: 1.0 - reorder_reduction,
-        ..EnergyOptions::default()
     };
     let ff34_opt = simulate_with_options(&models::resnet34(), &ff, opts).expect("maps");
     let system_power_reduction = 1.0 - ff34_opt.metrics.power_w / ff34.metrics.power_w;

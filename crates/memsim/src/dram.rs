@@ -46,11 +46,6 @@ impl Dram {
         }
     }
 
-    /// Creates an interface with a custom per-byte energy.
-    pub fn with_energy_per_byte(energy_per_byte: PicoJoules) -> Self {
-        Self { energy_per_byte }
-    }
-
     /// Per-byte access energy.
     pub fn energy_per_byte(&self) -> PicoJoules {
         self.energy_per_byte

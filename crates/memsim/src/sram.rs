@@ -11,8 +11,8 @@
 //! * SRAM + buffers together occupy **12.4 mm²** for ~12.4 MB of storage
 //!   (Fig. 9) — ≈1 mm² per MB at the paper's monolithic node.
 //!
-//! Absolute per-access energies are set to representative 14 nm values and
-//! are configurable; the experiments report *relative* behaviour.
+//! Absolute per-access energies are set to representative 14 nm values;
+//! the experiments report *relative* behaviour.
 
 use refocus_photonics::units::{PicoJoules, SquareMillimeters, Watts};
 use serde::{Deserialize, Serialize};
@@ -78,12 +78,6 @@ impl Sram {
             density_mm2_per_mib: Self::DEFAULT_DENSITY,
             leakage_per_mib: Self::DEFAULT_LEAKAGE_PER_MIB,
         }
-    }
-
-    /// Overrides the reference per-byte access energy.
-    pub fn with_reference_energy(mut self, energy: PicoJoules) -> Self {
-        self.reference_energy = energy;
-        self
     }
 
     /// Capacity in bytes.
@@ -173,11 +167,5 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = Sram::new(0);
-    }
-
-    #[test]
-    fn custom_reference_energy() {
-        let s = Sram::new(512 * KIB).with_reference_energy(PicoJoules::new(3.0));
-        assert!((s.energy_per_byte().value() - 3.0).abs() < 1e-12);
     }
 }

@@ -100,7 +100,7 @@ impl FeedbackBuffer {
 
     /// The optimal split ratio `α = 1/(R+1)` (§5.4.2) for `reuses` replays.
     pub fn optimal_split_ratio(reuses: u32) -> f64 {
-        1.0 / (reuses + 1) as f64
+        1.0 / (f64::from(reuses) + 1.0)
     }
 
     /// Creates a buffer with the optimal `α = 1/(R+1)` split.
@@ -168,14 +168,14 @@ impl FeedbackBuffer {
     /// `LP_rel = 1 / (α · (R+1) · ρ^R)` with `ρ` the per-loop retention.
     pub fn relative_laser_power(&self) -> f64 {
         1.0 / (self.alpha
-            * (self.reuses + 1) as f64
+            * (f64::from(self.reuses) + 1.0)
             * self.retention_per_reuse().powi(self.reuses as i32))
     }
 
     /// Duty cycle of the input DACs: new light is generated once per `R+1`
     /// cycles of use.
     pub fn dac_duty_cycle(&self) -> f64 {
-        1.0 / (self.reuses + 1) as f64
+        1.0 / (f64::from(self.reuses) + 1.0)
     }
 
     /// Weight rescaling factors for the hardware-aware scheduler (§4.1.1):

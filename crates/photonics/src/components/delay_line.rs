@@ -57,18 +57,6 @@ impl DelayLine {
         Self { delay, cycles }
     }
 
-    /// Creates a delay line for an explicit delay duration, quantized to
-    /// whole cycles of `clock` (rounding up).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is not positive.
-    pub fn for_delay(delay: Nanoseconds, clock: GigaHertz) -> Self {
-        assert!(delay.value() > 0.0, "delay must be positive, got {delay}");
-        let cycles = (delay.value() / clock.period().value()).ceil() as u32;
-        Self::for_cycles(cycles.max(1), clock)
-    }
-
     /// The delay this line imposes.
     pub fn delay(&self) -> Nanoseconds {
         self.delay
@@ -145,13 +133,6 @@ mod tests {
         let dl = DelayLine::for_cycles(1, CLOCK);
         let t = dl.transmission();
         assert!(t > 0.998 && t < 1.0, "t = {t}");
-    }
-
-    #[test]
-    fn for_delay_quantizes_up() {
-        let dl = DelayLine::for_delay(Nanoseconds::new(0.25), CLOCK);
-        assert_eq!(dl.cycles(), 3);
-        assert!((dl.delay().value() - 0.3).abs() < 1e-12);
     }
 
     #[test]

@@ -25,8 +25,6 @@ use serde::{Deserialize, Serialize};
 pub struct Laser {
     min_power_per_waveguide: MilliWatts,
     area: SquareMicrometers,
-    /// Wall-plug efficiency: electrical power = optical power / efficiency.
-    wall_plug_efficiency: f64,
 }
 
 impl Laser {
@@ -34,31 +32,13 @@ impl Laser {
     pub const DEFAULT_MIN_POWER: MilliWatts = MilliWatts::new(0.1);
     /// Paper default footprint (Table 6, \[13\]).
     pub const DEFAULT_AREA: SquareMicrometers = SquareMicrometers::new(1.2e5);
-    /// The paper folds electrical conversion into its 0.1 mW budget, so the
-    /// default efficiency is 1 (the number is already "power charged").
-    pub const DEFAULT_WALL_PLUG_EFFICIENCY: f64 = 1.0;
 
     /// Creates a laser with the paper's default parameters.
     pub fn new() -> Self {
         Self {
             min_power_per_waveguide: Self::DEFAULT_MIN_POWER,
             area: Self::DEFAULT_AREA,
-            wall_plug_efficiency: Self::DEFAULT_WALL_PLUG_EFFICIENCY,
         }
-    }
-
-    /// Overrides the wall-plug efficiency.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < efficiency <= 1`.
-    pub fn with_wall_plug_efficiency(mut self, efficiency: f64) -> Self {
-        assert!(
-            efficiency > 0.0 && efficiency <= 1.0,
-            "wall-plug efficiency must be in (0,1], got {efficiency}"
-        );
-        self.wall_plug_efficiency = efficiency;
-        self
     }
 
     /// Minimum optical power required per waveguide for detection.
@@ -99,11 +79,6 @@ impl Laser {
     pub fn compensation_power(&self, overhead_factor: f64) -> MilliWatts {
         self.average_power(overhead_factor) - self.min_power_per_waveguide
     }
-
-    /// Electrical power drawn to emit `optical` power.
-    pub fn electrical_power(&self, optical: MilliWatts) -> MilliWatts {
-        optical / self.wall_plug_efficiency
-    }
 }
 
 impl Default for Laser {
@@ -139,12 +114,5 @@ mod tests {
     #[should_panic(expected = "must be >= 1")]
     fn rejects_sub_unity_overhead() {
         let _ = Laser::new().average_power(0.9);
-    }
-
-    #[test]
-    fn wall_plug_efficiency_increases_electrical_power() {
-        let l = Laser::new().with_wall_plug_efficiency(0.2);
-        let e = l.electrical_power(MilliWatts::new(1.0));
-        assert!((e.value() - 5.0).abs() < 1e-12);
     }
 }

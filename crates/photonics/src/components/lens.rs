@@ -8,7 +8,7 @@
 //! wavelengths (§4.2).
 
 use crate::complex::Complex64;
-use crate::fft::{fft, ifft};
+use crate::fft::fft;
 use crate::units::SquareMicrometers;
 use serde::{Deserialize, Serialize};
 
@@ -43,12 +43,6 @@ impl Lens {
         }
     }
 
-    /// Creates a lens with an explicit footprint (the calibrated per-RFCU
-    /// area model uses a slightly smaller effective lens, see DESIGN.md §2).
-    pub fn with_area(area: SquareMicrometers) -> Self {
-        Self { area }
-    }
-
     /// Chip footprint.
     pub fn area(&self) -> SquareMicrometers {
         self.area
@@ -58,15 +52,12 @@ impl Lens {
     ///
     /// The optical transform is unitary up to scale; we use the unnormalized
     /// forward DFT, matching the convention in [`crate::fft`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `field.len()` is 0 or a power of two.
     pub fn transform(&self, field: &mut [Complex64]) {
         fft(field);
-    }
-
-    /// Applies the inverse transform (a second lens oriented to undo the
-    /// first; physically a second forward transform plus coordinate flip,
-    /// which is equivalent for intensity patterns).
-    pub fn inverse_transform(&self, field: &mut [Complex64]) {
-        ifft(field);
     }
 }
 
@@ -93,7 +84,7 @@ mod tests {
             .collect();
         let mut field = original.clone();
         lens.transform(&mut field);
-        lens.inverse_transform(&mut field);
+        crate::fft::ifft(&mut field);
         for (a, b) in field.iter().zip(&original) {
             assert!((*a - *b).norm() < 1e-9);
         }
@@ -113,11 +104,5 @@ mod tests {
         for i in 0..8 {
             assert!((sum[i] - (fa[i] + fb[i])).norm() < 1e-9);
         }
-    }
-
-    #[test]
-    fn custom_area() {
-        let lens = Lens::with_area(SquareMicrometers::new(1.83e6));
-        assert_eq!(lens.area().value(), 1.83e6);
     }
 }

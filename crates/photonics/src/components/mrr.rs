@@ -25,9 +25,6 @@ use serde::{Deserialize, Serialize};
 pub struct Mrr {
     power: MilliWatts,
     area: SquareMicrometers,
-    /// Resonance wavelength in nanometres (used by the WDM model to decide
-    /// which channel this ring addresses).
-    wavelength_nm: f64,
 }
 
 impl Mrr {
@@ -35,23 +32,12 @@ impl Mrr {
     pub const DEFAULT_POWER: MilliWatts = MilliWatts::new(0.42);
     /// Paper default footprint (Table 6, \[32\]).
     pub const DEFAULT_AREA: SquareMicrometers = SquareMicrometers::new(255.0);
-    /// Nominal C-band carrier used when no WDM channel is specified.
-    pub const DEFAULT_WAVELENGTH_NM: f64 = 1550.0;
 
     /// Creates an MRR with the paper's default parameters.
     pub fn new() -> Self {
         Self {
             power: Self::DEFAULT_POWER,
             area: Self::DEFAULT_AREA,
-            wavelength_nm: Self::DEFAULT_WAVELENGTH_NM,
-        }
-    }
-
-    /// Creates an MRR tuned to `wavelength_nm` (a WDM channel).
-    pub fn at_wavelength(wavelength_nm: f64) -> Self {
-        Self {
-            wavelength_nm,
-            ..Self::new()
         }
     }
 
@@ -63,11 +49,6 @@ impl Mrr {
     /// Chip footprint.
     pub fn area(&self) -> SquareMicrometers {
         self.area
-    }
-
-    /// Resonance wavelength in nanometres.
-    pub fn wavelength_nm(&self) -> f64 {
-        self.wavelength_nm
     }
 
     /// Modulates a normalized drive level `level` in `[0, 1]` onto a carrier
@@ -114,12 +95,5 @@ mod tests {
     #[should_panic(expected = "modulation level must be in [0,1]")]
     fn modulation_rejects_out_of_range() {
         Mrr::new().modulate(1.0, 1.5);
-    }
-
-    #[test]
-    fn wavelength_constructor() {
-        let m = Mrr::at_wavelength(1551.6);
-        assert_eq!(m.wavelength_nm(), 1551.6);
-        assert_eq!(m.power(), Mrr::DEFAULT_POWER);
     }
 }

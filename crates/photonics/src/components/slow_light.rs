@@ -108,18 +108,6 @@ impl SlowLightDelayLine {
     pub fn transmission(&self) -> f64 {
         self.loss().transmission()
     }
-
-    /// Area saved vs the conventional spiral for the same delay.
-    pub fn area_saving_vs_spiral(&self, clock: GigaHertz) -> f64 {
-        let spiral = DelayLine::for_cycles(self.cycles, clock);
-        spiral.area().value() / self.area().value()
-    }
-
-    /// Loss penalty vs the conventional spiral (dB difference).
-    pub fn loss_penalty_vs_spiral(&self, clock: GigaHertz) -> Decibels {
-        let spiral = DelayLine::for_cycles(self.cycles, clock);
-        self.loss() - spiral.loss()
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +122,8 @@ mod tests {
         let slow = SlowLightDelayLine::for_cycles(16, CLOCK, 10.0, 0.05);
         let ratio = conventional.length().value() / slow.length().value();
         assert!((ratio - 10.0).abs() < 1e-9);
-        assert!((slow.area_saving_vs_spiral(CLOCK) - 10.0).abs() < 1e-9);
+        let area_ratio = conventional.area().value() / slow.area().value();
+        assert!((area_ratio - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -144,7 +133,6 @@ mod tests {
         let slow = SlowLightDelayLine::reference(16, CLOCK);
         assert!(slow.length().value() < conventional.length().value());
         assert!(slow.loss().value() > conventional.loss().value());
-        assert!(slow.loss_penalty_vs_spiral(CLOCK).value() > 0.0);
     }
 
     #[test]

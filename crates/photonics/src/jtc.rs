@@ -520,13 +520,14 @@ impl JtcOutput {
     }
 
     /// The "valid" window — lags `0 ..= S-K` — which is exactly a CNN's
-    /// valid cross-correlation of the signal with the kernel.
+    /// valid cross-correlation of the signal with the kernel; empty when
+    /// the kernel is longer than the signal.
     ///
     /// The lags outside this window are the circular-padding artifacts the
     /// paper discards as invalid output rows (§2.2).
     pub fn valid(&self) -> &[f64] {
         let start = self.kernel_len - 1;
-        let len = self.signal_len - self.kernel_len + 1;
+        let len = (self.signal_len + 1).saturating_sub(self.kernel_len);
         &self.full[start..start + len]
     }
 
@@ -581,6 +582,24 @@ mod tests {
         let want = correlate_valid(&s, &k);
         assert_eq!(out.valid().len(), want.len());
         assert!(max_abs_diff(out.valid(), &want) < 1e-9);
+    }
+
+    #[test]
+    fn valid_window_is_empty_for_a_kernel_longer_than_the_signal() {
+        let out = Jtc::ideal().correlate(&[1.0], &[1.0, 2.0, 3.0]).unwrap();
+        assert_eq!(out.full().len(), 3);
+        assert!(out.valid().is_empty());
+        // One sample short of a full overlap: still empty; a full overlap
+        // is one sample.
+        let out = Jtc::ideal()
+            .correlate(&[1.0, 1.0], &[1.0, 2.0, 3.0])
+            .unwrap();
+        assert!(out.valid().is_empty());
+        let out = Jtc::ideal()
+            .correlate(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0])
+            .unwrap();
+        assert_eq!(out.valid().len(), 1);
+        assert!((out.valid()[0] - 6.0).abs() < 1e-9);
     }
 
     #[test]

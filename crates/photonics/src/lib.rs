@@ -5,8 +5,8 @@
 //!
 //! This crate provides everything below the architecture level:
 //!
-//! * [`complex`] / [`fft`] / [`signal`] — the math: complex fields, FFTs
-//!   (radix-2 + Bluestein), and reference convolution/correlation.
+//! * [`complex`] / [`fft`] / [`signal`] — the math: complex fields,
+//!   power-of-two radix-2 FFTs, and reference correlation.
 //! * [`components`] — behavioural + cost models of every photonic component
 //!   in the paper's Table 6 (MRR, Y-junction, delay line, laser,
 //!   photodetector, lens) and the 8-bit data converters.
@@ -17,7 +17,7 @@
 //! * [`buffer`] — the feedback / feedforward optical buffers that let
 //!   ReFOCUS reuse light (paper Eq. 2–4, Table 5).
 //! * [`dispersion`] — WDM channel walk-off and the `N_λ < 4` rule.
-//! * [`noise`] — seeded shot/thermal/relative noise injection (§7.2).
+//! * [`noise`] — seeded relative and additive noise injection (§7.2).
 //! * [`faults`] — structural device-fault models (stuck MRR taps, dead
 //!   detector pixels, laser drift) composing with [`noise`].
 //! * [`units`] — physical-unit newtypes (watts, mm², dB, …) used across the

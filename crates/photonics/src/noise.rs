@@ -33,9 +33,6 @@ pub struct NoiseModel {
     relative_sigma: f64,
     /// Std-dev of additive Gaussian noise (absolute, detector-referred).
     additive_sigma: f64,
-    /// Shot-noise scale: variance proportional to signal level, with this
-    /// proportionality constant. Zero disables shot noise.
-    shot_factor: f64,
 }
 
 impl Clone for NoiseModel {
@@ -55,7 +52,6 @@ impl Clone for NoiseModel {
             rng: None,
             relative_sigma: self.relative_sigma,
             additive_sigma: self.additive_sigma,
-            shot_factor: self.shot_factor,
         }
     }
 }
@@ -69,7 +65,6 @@ impl NoiseModel {
             rng: None,
             relative_sigma: 0.0,
             additive_sigma: 0.0,
-            shot_factor: 0.0,
         }
     }
 
@@ -95,20 +90,9 @@ impl NoiseModel {
         self
     }
 
-    /// Enables shot noise: variance = `factor * signal` (Poisson-like).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative.
-    pub fn with_shot_factor(mut self, factor: f64) -> Self {
-        assert!(factor >= 0.0, "factor must be non-negative, got {factor}");
-        self.shot_factor = factor;
-        self
-    }
-
     /// Returns `true` if every noise source is disabled.
     pub fn is_noiseless(&self) -> bool {
-        self.relative_sigma == 0.0 && self.additive_sigma == 0.0 && self.shot_factor == 0.0
+        self.relative_sigma == 0.0 && self.additive_sigma == 0.0
     }
 
     /// Draws one standard normal sample (Box–Muller).
@@ -129,10 +113,6 @@ impl NoiseModel {
         let mut v = value;
         if self.relative_sigma > 0.0 {
             v *= 1.0 + self.relative_sigma * self.standard_normal();
-        }
-        if self.shot_factor > 0.0 {
-            let sigma = (self.shot_factor * value.abs()).sqrt();
-            v += sigma * self.standard_normal();
         }
         if self.additive_sigma > 0.0 {
             v += self.additive_sigma * self.standard_normal();
@@ -199,7 +179,6 @@ impl NoiseModel {
             rng: None,
             relative_sigma: self.relative_sigma,
             additive_sigma: self.additive_sigma,
-            shot_factor: self.shot_factor,
         }
     }
 }
@@ -271,27 +250,6 @@ mod tests {
         assert!((mean - 2.0).abs() < 0.01, "mean = {mean}");
         // Expected std = 0.05 * 2.0 = 0.1 -> var = 0.01.
         assert!((var - 0.01).abs() < 0.002, "var = {var}");
-    }
-
-    #[test]
-    fn shot_noise_scales_with_signal() {
-        let mut m = NoiseModel::new(5).with_shot_factor(0.01);
-        let weak = vec![0.1; 20_000];
-        let strong = vec![10.0; 20_000];
-        let var = |clean: &[f64], noisy: &[f64]| -> f64 {
-            clean
-                .iter()
-                .zip(noisy)
-                .map(|(c, n)| (c - n) * (c - n))
-                .sum::<f64>()
-                / clean.len() as f64
-        };
-        let vw = var(&weak, &m.apply(&weak));
-        m.reset();
-        let vs = var(&strong, &m.apply(&strong));
-        // Variance ratio should be ~signal ratio (100x).
-        let ratio = vs / vw;
-        assert!(ratio > 50.0 && ratio < 200.0, "ratio = {ratio}");
     }
 
     #[test]

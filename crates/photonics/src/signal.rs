@@ -1,39 +1,16 @@
-//! 1-D signal utilities: padding, convolution, and correlation.
+//! 1-D digital reference correlation and convolution.
 //!
-//! The JTC computes convolutions optically; this module provides the digital
-//! reference implementations (direct O(N·K) and FFT-based O(N log N)) that
-//! the optical model is validated against, plus the padding/tiling helpers
-//! shared with [`refocus_nn`'s row tiling](https://docs.rs).
+//! The JTC computes correlations optically; this module provides the
+//! direct O(N·K) digital references the optical model is validated
+//! against, and the valid-window correlation `refocus_nn`'s row tiling
+//! builds on.
 //!
 //! Conventions:
-//! * `convolve` is **linear convolution**: `y[n] = sum_k a[k] * b[n-k]`,
+//! * `convolve_direct` is **linear convolution**: `y[n] = sum_k a[k] * b[n-k]`,
 //!   output length `a.len() + b.len() - 1`.
 //! * `correlate` is **cross-correlation**: `y[n] = sum_k a[k+n] * b[k]` for
 //!   lag `n` in `[-(b.len()-1), a.len()-1]`, which is what a CNN "convolution"
 //!   actually computes and what the JTC's cross term produces.
-//! * `circular_convolve` wraps modulo the signal length, matching the
-//!   inherent circularity of the lens-pair Fourier transform.
-
-use crate::complex::Complex64;
-use crate::fft::{fft, ifft};
-
-/// Returns `x` zero-padded on the right to length `len`.
-///
-/// # Panics
-///
-/// Panics if `len < x.len()`.
-pub fn zero_pad(x: &[f64], len: usize) -> Vec<f64> {
-    assert!(
-        len >= x.len(),
-        "cannot pad signal of length {} down to {}",
-        x.len(),
-        len
-    );
-    let mut y = Vec::with_capacity(len);
-    y.extend_from_slice(x);
-    y.resize(len, 0.0);
-    y
-}
 
 /// Linear convolution by direct summation: output length `a.len()+b.len()-1`.
 ///
@@ -50,56 +27,6 @@ pub fn convolve_direct(a: &[f64], b: &[f64]) -> Vec<f64> {
         }
         for (j, &bj) in b.iter().enumerate() {
             y[i + j] += ai * bj;
-        }
-    }
-    y
-}
-
-/// Linear convolution via FFT (convolution theorem), same semantics as
-/// [`convolve_direct`].
-pub fn convolve_fft(a: &[f64], b: &[f64]) -> Vec<f64> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    let out_len = a.len() + b.len() - 1;
-    let m = out_len.next_power_of_two();
-    let mut fa: Vec<Complex64> = a.iter().map(|&v| Complex64::from_real(v)).collect();
-    fa.resize(m, Complex64::ZERO);
-    let mut fb: Vec<Complex64> = b.iter().map(|&v| Complex64::from_real(v)).collect();
-    fb.resize(m, Complex64::ZERO);
-    fft(&mut fa);
-    fft(&mut fb);
-    for (x, y) in fa.iter_mut().zip(&fb) {
-        *x *= *y;
-    }
-    ifft(&mut fa);
-    fa.truncate(out_len);
-    fa.into_iter().map(|v| v.re).collect()
-}
-
-/// Circular convolution of two equal-length signals.
-///
-/// `y[n] = sum_k a[k] * b[(n-k) mod N]`. This is what a Fourier-transform
-/// pair computes natively; linear convolution requires enough zero padding
-/// that the wrap-around never lands on non-zero samples.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn circular_convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "circular convolution requires equal lengths"
-    );
-    let n = a.len();
-    let mut y = vec![0.0; n];
-    for k in 0..n {
-        if a[k] == 0.0 {
-            continue;
-        }
-        for j in 0..n {
-            y[(k + j) % n] += a[k] * b[j];
         }
     }
     y
@@ -159,39 +86,9 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Root-mean-square error between two signals.
-///
-/// # Panics
-///
-/// Panics if lengths differ or the signals are empty.
-pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "length mismatch: {} vs {}",
-        a.len(),
-        b.len()
-    );
-    assert!(!a.is_empty(), "rmse of empty signals is undefined");
-    let sum: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
-    (sum / a.len() as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zero_pad_extends() {
-        assert_eq!(zero_pad(&[1.0, 2.0], 4), vec![1.0, 2.0, 0.0, 0.0]);
-        assert_eq!(zero_pad(&[], 2), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot pad")]
-    fn zero_pad_rejects_truncation() {
-        let _ = zero_pad(&[1.0, 2.0, 3.0], 2);
-    }
 
     #[test]
     fn convolve_known_values() {
@@ -200,15 +97,6 @@ mod tests {
             convolve_direct(&[1.0, 2.0, 3.0], &[1.0, 1.0]),
             vec![1.0, 3.0, 5.0, 3.0]
         );
-    }
-
-    #[test]
-    fn convolve_fft_matches_direct() {
-        let a: Vec<f64> = (0..37).map(|i| ((i * 7) % 11) as f64 - 5.0).collect();
-        let b: Vec<f64> = (0..9).map(|i| (i as f64 * 0.4).sin()).collect();
-        let d = convolve_direct(&a, &b);
-        let f = convolve_fft(&a, &b);
-        assert!(max_abs_diff(&d, &f) < 1e-9);
     }
 
     #[test]
@@ -221,27 +109,8 @@ mod tests {
     #[test]
     fn empty_inputs_give_empty_outputs() {
         assert!(convolve_direct(&[], &[1.0]).is_empty());
-        assert!(convolve_fft(&[1.0], &[]).is_empty());
+        assert!(convolve_direct(&[1.0], &[]).is_empty());
         assert!(correlate(&[], &[]).is_empty());
-    }
-
-    #[test]
-    fn circular_matches_linear_with_enough_padding() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [4.0, 5.0];
-        let lin = convolve_direct(&a, &b); // length 4
-        let n = 4;
-        let ca = zero_pad(&a, n);
-        let cb = zero_pad(&b, n);
-        let circ = circular_convolve(&ca, &cb);
-        assert!(max_abs_diff(&lin, &circ) < 1e-12);
-    }
-
-    #[test]
-    fn circular_wraps_without_padding() {
-        // [1,0] (*) [1,1] circularly = [1,1]; linear would be [1,1,0].
-        let y = circular_convolve(&[1.0, 0.0], &[1.0, 1.0]);
-        assert_eq!(y, vec![1.0, 1.0]);
     }
 
     #[test]
@@ -275,10 +144,9 @@ mod tests {
     }
 
     #[test]
-    fn rmse_and_max_diff() {
+    fn max_diff() {
         let a = [1.0, 2.0];
         let b = [1.0, 4.0];
         assert_eq!(max_abs_diff(&a, &b), 2.0);
-        assert!((rmse(&a, &b) - (2.0f64 / 2.0f64.sqrt())).abs() < 1e-12);
     }
 }

@@ -294,13 +294,6 @@ impl Nanoseconds {
     }
 }
 
-impl Seconds {
-    /// Converts to nanoseconds.
-    pub fn to_nanoseconds(self) -> Nanoseconds {
-        Nanoseconds::new(self.0 * 1e9)
-    }
-}
-
 impl GigaHertz {
     /// The period of one cycle at this frequency.
     ///
@@ -325,11 +318,6 @@ impl Decibels {
     /// everything.
     pub fn transmission(self) -> f64 {
         10f64.powf(-self.0 / 10.0)
-    }
-
-    /// Converts a loss in dB to the linear *fraction lost* in [0, 1).
-    pub fn fraction_lost(self) -> f64 {
-        1.0 - self.transmission()
     }
 
     /// Builds a dB loss from a linear transmission factor.
@@ -388,7 +376,6 @@ mod tests {
     fn db_transmission_half_power() {
         let half = Decibels::new(10.0 * 2f64.log10());
         assert!((half.transmission() - 0.5).abs() < 1e-12);
-        assert!((half.fraction_lost() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -408,7 +395,6 @@ mod tests {
     #[test]
     fn zero_db_is_lossless() {
         assert_eq!(Decibels::ZERO.transmission(), 1.0);
-        assert_eq!(Decibels::ZERO.fraction_lost(), 0.0);
     }
 
     #[test]

@@ -3,67 +3,63 @@
 use proptest::prelude::*;
 use refocus_photonics::buffer::{FeedbackBuffer, FeedforwardBuffer};
 use refocus_photonics::complex::Complex64;
-use refocus_photonics::fft::{energy, fft_of, ifft_of};
+use refocus_photonics::fft::{fft, ifft};
 use refocus_photonics::jtc::Jtc;
-use refocus_photonics::signal::{
-    circular_convolve, convolve_direct, convolve_fft, correlate, max_abs_diff, zero_pad,
-};
+use refocus_photonics::signal::{correlate, max_abs_diff};
 use refocus_photonics::units::{Decibels, GigaHertz};
 
 fn signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.0..1.0f64, 1..max_len)
 }
 
+/// Complex signals of every power-of-two length below `max_len`: a random
+/// draw of `1..max_len` samples cut to the largest power of two it holds.
 fn complex_signal(max_len: usize) -> impl Strategy<Value = Vec<Complex64>> {
     prop::collection::vec((-10.0..10.0f64, -10.0..10.0f64), 1..max_len).prop_map(|v| {
+        let n = 1 << v.len().ilog2();
         v.into_iter()
+            .take(n)
             .map(|(re, im)| Complex64::new(re, im))
             .collect()
     })
 }
 
+fn energy(x: &[Complex64]) -> f64 {
+    x.iter().map(|v| v.norm_sqr()).sum()
+}
+
 proptest! {
     #[test]
-    fn fft_round_trip_is_identity(x in complex_signal(128)) {
-        let back = ifft_of(&fft_of(&x));
+    fn fft_round_trip_is_identity(x in complex_signal(257)) {
+        let mut back = x.clone();
+        fft(&mut back);
+        ifft(&mut back);
         for (a, b) in back.iter().zip(&x) {
             prop_assert!((*a - *b).norm() < 1e-7);
         }
     }
 
     #[test]
-    fn parseval_holds_for_any_length(x in complex_signal(96)) {
+    fn parseval_holds_for_power_of_two_lengths(x in complex_signal(257)) {
+        let mut spectrum = x.clone();
+        fft(&mut spectrum);
         let t = energy(&x);
-        let f = energy(&fft_of(&x)) / x.len() as f64;
+        let f = energy(&spectrum) / x.len() as f64;
         prop_assert!((t - f).abs() < 1e-6 * t.max(1.0));
     }
 
     #[test]
     fn fft_is_linear(
-        x in complex_signal(64),
+        x in complex_signal(129),
         k in -5.0..5.0f64,
     ) {
-        let scaled: Vec<Complex64> = x.iter().map(|v| v.scale(k)).collect();
-        let fx = fft_of(&x);
-        let fs = fft_of(&scaled);
+        let mut fs: Vec<Complex64> = x.iter().map(|v| v.scale(k)).collect();
+        let mut fx = x;
+        fft(&mut fs);
+        fft(&mut fx);
         for (a, b) in fs.iter().zip(&fx) {
             prop_assert!((*a - b.scale(k)).norm() < 1e-6);
         }
-    }
-
-    #[test]
-    fn convolution_theorem(a in signal_strategy(64), b in signal_strategy(32)) {
-        let d = convolve_direct(&a, &b);
-        let f = convolve_fft(&a, &b);
-        prop_assert!(max_abs_diff(&d, &f) < 1e-7);
-    }
-
-    #[test]
-    fn circular_equals_linear_with_padding(a in signal_strategy(32), b in signal_strategy(32)) {
-        let n = a.len() + b.len() - 1;
-        let lin = convolve_direct(&a, &b);
-        let circ = circular_convolve(&zero_pad(&a, n), &zero_pad(&b, n));
-        prop_assert!(max_abs_diff(&lin, &circ) < 1e-9);
     }
 
     #[test]
