@@ -25,7 +25,6 @@ use refocus_photonics::faults::FaultInjector;
 use refocus_photonics::jtc::{DetectorSum, Jtc, PlaneGeometry, Spectrum};
 use std::borrow::Cow;
 use std::fmt;
-use std::ops::Range;
 use std::sync::Mutex;
 
 /// Errors from functional execution.
@@ -470,11 +469,14 @@ impl Layer {
 
     /// The clean 1-D kernel of output channel `o`, input channel `i`,
     /// pseudo-negative half `half` (0 positive, 1 negative) in kernel slot
-    /// `slot`.
+    /// `slot`, tiled straight from the half's OIHW weights.
     fn kernel(&self, o: usize, i: usize, half: usize, slot: usize) -> Vec<f64> {
         let split = [&self.split.positive, &self.split.negative][half];
+        let (kw, taps) = (split.kernel_w(), split.kernel_h() * split.kernel_w());
+        let start = (o * split.in_channels() + i) * taps;
+        let rows: Vec<&[f64]> = split.data()[start..start + taps].chunks_exact(kw).collect();
         let pass = &self.schedule.passes()[self.slot_pass[slot]];
-        self.schedule.kernel(&split.kernel(o, i), pass)
+        self.schedule.kernel(&rows, pass)
     }
 
     /// The plane geometry of kernel slot `slot`.
@@ -517,7 +519,13 @@ fn run_layer(
                 layer.schedule.passes().len(),
             )
         });
-        spectral_channels(jtc, layer, spectra, faults.as_ref())
+        Spectral {
+            jtc,
+            layer,
+            spectra,
+            faults: faults.as_ref(),
+        }
+        .channels()
     } else {
         let (split, tile, stride) = (&layer.split, layer.tile, layer.stride);
         let channels: Vec<usize> = (0..out_channels).collect();
@@ -598,16 +606,9 @@ pub(crate) struct CleanSpectra {
 impl CleanSpectra {
     fn new(jtc: &Jtc, layer: Layer) -> Self {
         let _s = refocus_obs::span("jtc.spectral.lens1");
-        let (schedule, slots) = (&layer.schedule, layer.slot_pass.len());
-        let mut signals = Vec::with_capacity(layer.in_channels() * layer.geometries.len());
-        for rows in &layer.channel_rows {
-            for (pass, &g) in schedule.passes().iter().zip(&layer.geometries) {
-                let signal = jtc
-                    .signal_spectrum(g, &schedule.signal(rows, pass))
-                    .expect("activations are non-negative");
-                signals.push(signal);
-            }
-        }
+        let slots = layer.slot_pass.len();
+        let passes: Vec<usize> = (0..layer.geometries.len()).collect();
+        let signals = signal_spectra(jtc, &layer, &passes);
         let mut kernels =
             Vec::with_capacity(layer.out_channels() * layer.in_channels() * 2 * slots);
         for o in 0..layer.out_channels() {
@@ -646,10 +647,21 @@ impl CleanSpectra {
     }
 }
 
-/// Bytes of lens-1 spectra one spectral block may hold: the shared signal
-/// spectra plus one worker's detector sums. Bounds the path's memory on
-/// row-partitioned layers, whose passes run into the hundreds.
-const SPECTRAL_BLOCK_BYTES: usize = 128 * 1024;
+/// The signal spectrum of each (input channel, pass of `passes`) of
+/// `layer`, input-channel major.
+fn signal_spectra(jtc: &Jtc, layer: &Layer, passes: &[usize]) -> Vec<Spectrum> {
+    let schedule = &layer.schedule;
+    layer
+        .channel_rows
+        .iter()
+        .flat_map(|rows| passes.iter().map(move |&p| (rows, p)))
+        .map(|(rows, p)| {
+            let signal = schedule.signal(rows, &schedule.passes()[p]);
+            jtc.signal_spectrum(layer.geometries[p], &signal)
+                .expect("activations are non-negative")
+        })
+        .collect()
+}
 
 /// A noiseless fault model on the spectral path. Stuck taps and dead
 /// pixels are fixed sites of the injector: a stuck tap corrupts the kernel
@@ -704,197 +716,230 @@ impl<'a> SpectralFaults<'a> {
     }
 }
 
-/// The spectral path of [`OpticalExecutor::conv2d`] for every output
-/// channel: each (input channel, pass) signal spectrum is computed once and
-/// shared by all output-channel workers (the optical buffer, §4.1); each
-/// (o, i, half) kernel spectrum, stuck taps applied, once per block of
-/// passes; and each (o, pass, half) detector sums its input channels,
-/// each scaled by its pass's laser drift, before one lens-2 transform
-/// (temporal accumulation §4.1.4, WDM §4.2) and the dead-pixel mask.
-/// With `spectra`, signal spectra are read from it and kernel spectra
-/// borrowed from it where the stuck taps leave the kernel unchanged.
-/// Passes are still counted one per (o, i, half, pass).
-fn spectral_channels(
-    jtc: &Jtc,
-    layer: &Layer,
-    spectra: Option<&CleanSpectra>,
-    faults: Option<&SpectralFaults>,
-) -> Vec<Result<(Vec<f64>, u64), FunctionalError>> {
-    let (in_channels, out_channels) = (layer.in_channels(), layer.out_channels());
-    let (schedule, geometries) = (&layer.schedule, &layer.geometries);
-    let passes = schedule.passes();
-    let served = (out_channels * in_channels * 2 * passes.len()) as u64;
-    refocus_obs::counter("jtc.spectra_reused", served);
+/// Bytes of lens-1 spectra one spectral block may hold: the shared signal
+/// spectra plus one worker's detector sums. Bounds the path's memory on
+/// row-partitioned layers, whose passes run into the hundreds. An output
+/// channel keeps its `2·C_in` kernel spectra of one slot across that
+/// slot's blocks when they fit this budget too.
+const SPECTRAL_BLOCK_BYTES: usize = 128 * 1024;
 
-    // Each output-channel worker scatters its valid windows into its own
-    // positive and negative accumulators, pass by pass; the lock is never
-    // contended.
-    let (out_h, out_w) = schedule.output_hw();
-    let accumulators: Vec<Mutex<[Vec<Vec<f64>>; 2]>> = (0..out_channels)
-        .map(|_| Mutex::new([vec![vec![0.0; out_w]; out_h], vec![vec![0.0; out_w]; out_h]]))
-        .collect();
-    let mut start = 0;
-    while start < passes.len() {
-        // Grow the block while its spectra fit the budget; one pass always
-        // fits.
-        let mut end = start + 1;
-        let mut bins = geometries[start].n() / 2 + 1;
-        while end < passes.len() {
-            bins += geometries[end].n() / 2 + 1;
-            if (in_channels + 1) * bins * 16 > SPECTRAL_BLOCK_BYTES {
-                break;
+/// One output channel's state across the blocks of a spectral layer.
+struct Channel<'a> {
+    /// The positive and negative accumulators, one row per output row.
+    acc: [Vec<Vec<f64>>; 2],
+    /// The current kernel slot's spectra, a (positive, negative) pair per
+    /// input channel with stuck taps applied, kept while more blocks of
+    /// the slot follow; empty otherwise.
+    kernels: Vec<[Cow<'a, Spectrum>; 2]>,
+}
+
+/// A run of passes of one kernel slot, small enough for
+/// [`SPECTRAL_BLOCK_BYTES`], with its signal spectra.
+struct Block<'s> {
+    slot: usize,
+    /// Pass indices, ascending.
+    passes: &'s [usize],
+    /// The signal spectrum of each (input channel, pass of `passes`),
+    /// input-channel major.
+    signals: Vec<&'s Spectrum>,
+    /// Whether a worker keeps the kernel spectra it transforms for the
+    /// blocks of the slot that follow.
+    keep: bool,
+}
+
+/// A layer on the spectral path of [`OpticalExecutor::conv2d`], with the
+/// clean light and the fault model it runs under.
+struct Spectral<'a> {
+    jtc: &'a Jtc,
+    layer: &'a Layer,
+    /// The layer's clean light, when a campaign computed it once.
+    spectra: Option<&'a CleanSpectra>,
+    faults: Option<&'a SpectralFaults<'a>>,
+}
+
+impl<'a> Spectral<'a> {
+    /// Every output channel of the layer: each (input channel, pass) signal
+    /// spectrum is computed once and shared by all output-channel workers
+    /// (the optical buffer, §4.1); each (o, i, half, kernel slot) kernel
+    /// spectrum, stuck taps applied, once per layer when a worker's slot
+    /// spectra fit the block budget, else once per block; and each (o,
+    /// pass, half) detector sums its input channels, each scaled by its
+    /// pass's laser drift, before one lens-2 transform (temporal
+    /// accumulation §4.1.4, WDM §4.2) and the dead-pixel mask. With
+    /// `spectra`, signal spectra are read from it and kernel spectra
+    /// borrowed from it where the stuck taps leave the kernel unchanged.
+    /// Passes are still counted one per (o, i, half, pass).
+    fn channels(&self) -> Vec<Result<(Vec<f64>, u64), FunctionalError>> {
+        let layer = self.layer;
+        let (in_channels, out_channels) = (layer.in_channels(), layer.out_channels());
+        let schedule = &layer.schedule;
+        let passes = schedule.passes();
+        let served = (out_channels * in_channels * 2 * passes.len()) as u64;
+        refocus_obs::counter("jtc.spectra_reused", served);
+
+        let (out_h, out_w) = schedule.output_hw();
+        let channels: Vec<Mutex<Channel>> = (0..out_channels)
+            .map(|_| {
+                Mutex::new(Channel {
+                    acc: [vec![vec![0.0; out_w]; out_h], vec![vec![0.0; out_w]; out_h]],
+                    kernels: Vec::new(),
+                })
+            })
+            .collect();
+        // Blocks run slot by slot, so a worker needs one slot's kernels at
+        // a time. Each worker scatters its valid windows at once, which
+        // keeps every output sample's additions in pass order: a tiled
+        // layer's passes write disjoint output rows, and the sub-passes
+        // of a row-partitioned output row are its kernel slices, in slot
+        // order (slots are numbered in first-use order).
+        for slot in 0..layer.slot_pass.len() {
+            let slot_passes: Vec<usize> = (0..passes.len())
+                .filter(|&p| layer.kernel_slot[p] == slot)
+                .collect();
+            let bytes = (layer.slot_geometry(slot).n() / 2 + 1) * 16;
+            // As many passes as fit the budget; one pass always fits.
+            let per_block = (SPECTRAL_BLOCK_BYTES / ((in_channels + 1) * bytes)).max(1);
+            let blocks = slot_passes.chunks(per_block);
+            let (count, keep) = (
+                blocks.len(),
+                blocks.len() > 1 && 2 * in_channels * bytes <= SPECTRAL_BLOCK_BYTES,
+            );
+            for (b, block_passes) in blocks.enumerate() {
+                let owned: Vec<Spectrum>;
+                let signals = match self.spectra {
+                    Some(spectra) => (0..in_channels)
+                        .flat_map(|i| block_passes.iter().map(move |&p| spectra.signal(i, p)))
+                        .collect(),
+                    None => {
+                        // Serial: one transform per operand is a small
+                        // share of the layer, and a second pool region per
+                        // block costs more peak memory than it saves time.
+                        let _s = refocus_obs::span("jtc.spectral.lens1");
+                        owned = signal_spectra(self.jtc, layer, block_passes);
+                        refocus_obs::counter("jtc.lens1.transforms", owned.len() as u64);
+                        owned.iter().collect()
+                    }
+                };
+                let block = Block {
+                    slot,
+                    passes: block_passes,
+                    signals,
+                    keep,
+                };
+                refocus_par::par_map_indexed(&channels, |o, channel| {
+                    let _chan = refocus_obs::span_with("conv2d.channel", || format!("oc={o}"));
+                    let mut channel = channel.lock().expect("channel lock");
+                    let Channel { acc, kernels } = &mut *channel;
+                    let windows = self.block(&block, o, kernels);
+                    for (&p, halves) in block.passes.iter().zip(&windows) {
+                        for (acc, valid) in acc.iter_mut().zip(halves) {
+                            schedule.scatter(&passes[p], valid, acc);
+                        }
+                    }
+                    if b + 1 == count {
+                        kernels.clear();
+                    }
+                });
             }
-            end += 1;
         }
-        let block = &passes[start..end];
+        let local_passes = (in_channels * 2 * passes.len()) as u64;
+        channels
+            .into_iter()
+            .map(|channel| {
+                let [pos, neg] = channel.into_inner().expect("channel lock").acc;
+                Ok((recombine(&pos, &neg)?, local_passes))
+            })
+            .collect()
+    }
 
-        let owned: Vec<Spectrum>;
-        let signals: Vec<&Spectrum> = match spectra {
-            Some(spectra) => (0..in_channels)
-                .flat_map(|i| (start..end).map(move |p| spectra.signal(i, p)))
-                .collect(),
-            None => {
-                // Serial: one transform per operand is a small share of the
-                // layer, and a second pool region per block costs more peak
-                // memory than it saves time.
-                let _s = refocus_obs::span("jtc.spectral.lens1");
-                owned = layer
-                    .channel_rows
-                    .iter()
-                    .flat_map(|rows| {
-                        block
-                            .iter()
-                            .zip(&geometries[start..end])
-                            .map(move |(pass, &g)| (rows, pass, g))
-                    })
-                    .map(|(rows, pass, g)| {
-                        jtc.signal_spectrum(g, &schedule.signal(rows, pass))
-                            .expect("activations are non-negative")
-                    })
-                    .collect();
-                refocus_obs::counter("jtc.lens1.transforms", owned.len() as u64);
-                owned.iter().collect()
+    /// Output channel `o`'s share of `block`: the valid windows of its
+    /// positive and negative detector sums, one per pass. `kernels` holds
+    /// the channel's kernel spectra of the block's slot that earlier
+    /// blocks kept; the rest are transformed here, and kept if
+    /// `block.keep`.
+    fn block(
+        &self,
+        block: &Block,
+        o: usize,
+        kernels: &mut Vec<[Cow<'a, Spectrum>; 2]>,
+    ) -> Vec<[Vec<f64>; 2]> {
+        let layer = self.layer;
+        let mut detectors: Vec<[DetectorSum; 2]> = block
+            .passes
+            .iter()
+            .map(|&p| [0, 1].map(|_| self.jtc.detector(layer.geometries[p])))
+            .collect();
+        for (i, signals) in block.signals.chunks(block.passes.len()).enumerate() {
+            let fresh;
+            let pair = if i < kernels.len() {
+                &kernels[i]
+            } else if block.keep {
+                kernels.push(self.kernel_pair(block.slot, o, i));
+                &kernels[i]
+            } else {
+                fresh = self.kernel_pair(block.slot, o, i);
+                &fresh
+            };
+            let _s = refocus_obs::span("jtc.spectral.detect");
+            for ((detectors, signal), &p) in detectors.iter_mut().zip(signals).zip(block.passes) {
+                for (half, (detector, kernel)) in detectors.iter_mut().zip(pair).enumerate() {
+                    let drift = self.faults.map_or(1.0, |f| f.drift(o, i, half, p));
+                    detector.add(signal, kernel, drift);
+                }
             }
-        };
-        refocus_par::par_map_indexed(&accumulators, |o, accumulator| {
-            let _chan = refocus_obs::span_with("conv2d.channel", || format!("oc={o}"));
-            let windows = spectral_block(jtc, layer, start..end, &signals, spectra, faults, o);
-            let mut acc = accumulator.lock().expect("accumulator lock");
-            for (pass, halves) in block.iter().zip(&windows) {
-                for (acc, valid) in acc.iter_mut().zip(halves) {
-                    schedule.scatter(pass, valid, acc);
+        }
+        let _s = refocus_obs::span("jtc.spectral.lens2");
+        refocus_obs::counter("jtc.lens2.transforms", 2 * block.passes.len() as u64);
+        detectors
+            .iter()
+            .zip(block.passes)
+            .map(|(pair, &p)| {
+                pair.each_ref().map(|detector| {
+                    let mut valid = detector.read_valid();
+                    if let Some(faults) = self.faults {
+                        // Valid lag `v` is pixel `v + lk − 1` of the full
+                        // window `Jtc::correlate_with_faults` masks.
+                        let lk = layer.schedule.operand_lens(&layer.schedule.passes()[p]).1;
+                        faults.injector.mask_dead_pixels(lk - 1, &mut valid);
+                    }
+                    valid
+                })
+            })
+            .collect()
+    }
+
+    /// The (positive, negative) kernel spectra of (o, i) in kernel slot
+    /// `slot`, stuck taps applied: borrowed from the clean light where the
+    /// taps leave every bit of the operand in place, transformed
+    /// otherwise.
+    fn kernel_pair(&self, slot: usize, o: usize, i: usize) -> [Cow<'a, Spectrum>; 2] {
+        let _s = refocus_obs::span("jtc.spectral.lens1");
+        let layer = self.layer;
+        let mut transforms = 0;
+        let pair = [0, 1].map(|half| {
+            let clean = self.spectra.map(|s| s.kernel(o, i, half, slot));
+            let mut kernel = match clean {
+                Some((operand, _)) => operand.clone(),
+                None => layer.kernel(o, i, half, slot),
+            };
+            if let Some(faults) = self.faults {
+                faults.injector.corrupt_kernel(&mut kernel);
+            }
+            match clean {
+                Some((operand, spectrum)) if same_bits(&kernel, operand) => Cow::Borrowed(spectrum),
+                _ => {
+                    transforms += 1;
+                    Cow::Owned(
+                        self.jtc
+                            .kernel_spectrum(layer.slot_geometry(slot), &kernel)
+                            .expect("pseudo-negative halves are non-negative"),
+                    )
                 }
             }
         });
-        start = end;
+        refocus_obs::counter("jtc.lens1.transforms", transforms);
+        pair
     }
-    let local_passes = (in_channels * 2 * passes.len()) as u64;
-    accumulators
-        .into_iter()
-        .map(|accumulator| {
-            let [pos, neg] = accumulator.into_inner().expect("accumulator lock");
-            Ok((recombine(&pos, &neg)?, local_passes))
-        })
-        .collect()
-}
-
-/// One output channel's share of a spectral block: the valid windows of
-/// its positive and negative detector sums, one per pass of `range`.
-/// `signals` holds the block's signal spectra, input-channel major.
-fn spectral_block(
-    jtc: &Jtc,
-    layer: &Layer,
-    range: Range<usize>,
-    signals: &[&Spectrum],
-    spectra: Option<&CleanSpectra>,
-    faults: Option<&SpectralFaults>,
-    o: usize,
-) -> Vec<[Vec<f64>; 2]> {
-    let start = range.start;
-    let block = &layer.schedule.passes()[range.clone()];
-    let mut detectors: Vec<[DetectorSum; 2]> = layer.geometries[range.clone()]
-        .iter()
-        .map(|&g| [jtc.detector(g), jtc.detector(g)])
-        .collect();
-    // The block's kernel slots in first-use order, and each pass's index
-    // among them.
-    let mut slots: Vec<usize> = Vec::new();
-    let kernel_of: Vec<usize> = layer.kernel_slot[range]
-        .iter()
-        .map(|&slot| {
-            slots.iter().position(|&s| s == slot).unwrap_or_else(|| {
-                slots.push(slot);
-                slots.len() - 1
-            })
-        })
-        .collect();
-    for (i, signals) in signals.chunks(block.len()).enumerate() {
-        let kernels: Vec<[Cow<Spectrum>; 2]> = {
-            let _s = refocus_obs::span("jtc.spectral.lens1");
-            let mut transforms = 0;
-            let kernels = slots
-                .iter()
-                .map(|&slot| {
-                    [0, 1].map(|half| {
-                        let clean = spectra.map(|s| s.kernel(o, i, half, slot));
-                        let mut kernel = match clean {
-                            Some((operand, _)) => operand.clone(),
-                            None => layer.kernel(o, i, half, slot),
-                        };
-                        if let Some(faults) = faults {
-                            faults.injector.corrupt_kernel(&mut kernel);
-                        }
-                        match clean {
-                            // Stuck taps that left every bit in place leave
-                            // the clean spectrum.
-                            Some((operand, spectrum)) if same_bits(&kernel, operand) => {
-                                Cow::Borrowed(spectrum)
-                            }
-                            _ => {
-                                transforms += 1;
-                                Cow::Owned(
-                                    jtc.kernel_spectrum(layer.slot_geometry(slot), &kernel)
-                                        .expect("pseudo-negative halves are non-negative"),
-                                )
-                            }
-                        }
-                    })
-                })
-                .collect();
-            refocus_obs::counter("jtc.lens1.transforms", transforms);
-            kernels
-        };
-        let _s = refocus_obs::span("jtc.spectral.detect");
-        for (p, ((pair, signal), &k)) in detectors
-            .iter_mut()
-            .zip(signals)
-            .zip(&kernel_of)
-            .enumerate()
-        {
-            for (half, (detector, kernel)) in pair.iter_mut().zip(&kernels[k]).enumerate() {
-                let drift = faults.map_or(1.0, |f| f.drift(o, i, half, start + p));
-                detector.add(signal, kernel, drift);
-            }
-        }
-    }
-    let _s = refocus_obs::span("jtc.spectral.lens2");
-    refocus_obs::counter("jtc.lens2.transforms", 2 * block.len() as u64);
-    detectors
-        .iter()
-        .zip(block)
-        .map(|(pair, pass)| {
-            pair.each_ref().map(|detector| {
-                let mut valid = detector.read_valid();
-                if let Some(faults) = faults {
-                    // Valid lag `v` is pixel `v + lk − 1` of the full
-                    // window `Jtc::correlate_with_faults` masks.
-                    let lk = layer.schedule.operand_lens(pass).1;
-                    faults.injector.mask_dead_pixels(lk - 1, &mut valid);
-                }
-                valid
-            })
-        })
-        .collect()
 }
 
 /// Whether two operands agree bit for bit (`0.0` and `-0.0` differ), so

@@ -28,10 +28,20 @@ pub struct Degradation {
     pub requested_reuses: u32,
     /// Feedback reuses actually simulated.
     pub applied_reuses: u32,
-    /// Replay dynamic range the requested configuration would have needed.
-    pub requested_dynamic_range: f64,
-    /// Replay dynamic range after the fallback.
-    pub applied_dynamic_range: f64,
+    /// Replay dynamic range the requested configuration would have
+    /// needed, in dB (`10·log10` of the power ratio).
+    pub requested_dynamic_range_db: f64,
+    /// Replay dynamic range after the fallback, in dB.
+    pub applied_dynamic_range_db: f64,
+}
+
+/// The replay dynamic range `ρ^-R` of a feedback config's buffer in dB,
+/// computed in the log domain as `-10·R·log10(ρ)`: finite for every reuse
+/// count the configuration accepts, while the ratio itself overflows to
+/// infinity past R ≈ 27,700 at a 16-cycle delay line.
+fn dynamic_range_db(config: &AcceleratorConfig) -> f64 {
+    let buffer = config.feedback_buffer().expect("a feedback config");
+    -10.0 * f64::from(buffer.reuses()) * buffer.retention_per_reuse().log10()
 }
 
 /// The full result of simulating one network on one configuration.
@@ -71,14 +81,12 @@ fn resolve_dynamic_range(
     if config.dynamic_range_feasible() {
         return Ok(None);
     }
-    let supported = refocus_photonics::components::Photodetector::new().dynamic_range();
-    let requested_dynamic_range = config.signal_dynamic_range();
-    let unrecoverable = SimError::DynamicRange {
-        required: requested_dynamic_range,
-        supported,
+    let unrecoverable = || SimError::DynamicRange {
+        required: config.signal_dynamic_range(),
+        supported: refocus_photonics::components::Photodetector::new().dynamic_range(),
     };
     let OpticalBufferKind::FeedBack { reuses } = config.optical_buffer else {
-        return Err(unrecoverable);
+        return Err(unrecoverable());
     };
     let with_reuses = |applied| AcceleratorConfig {
         optical_buffer: OpticalBufferKind::FeedBack { reuses: applied },
@@ -98,14 +106,14 @@ fn resolve_dynamic_range(
         }
     }
     if feasible == 0 {
-        return Err(unrecoverable);
+        return Err(unrecoverable());
     }
     let candidate = with_reuses(feasible);
     let record = Degradation {
         requested_reuses: reuses,
         applied_reuses: feasible,
-        requested_dynamic_range,
-        applied_dynamic_range: candidate.signal_dynamic_range(),
+        requested_dynamic_range_db: dynamic_range_db(config),
+        applied_dynamic_range_db: dynamic_range_db(&candidate),
     };
     Ok(Some((candidate, record)))
 }
@@ -504,8 +512,9 @@ mod tests {
         let d = r.degradation.expect("fallback must be recorded");
         assert_eq!(d.requested_reuses, 200);
         assert!(d.applied_reuses >= 1 && d.applied_reuses < 200);
-        assert!(d.applied_dynamic_range <= 256.0);
-        assert!(d.requested_dynamic_range > 256.0);
+        let budget_db = 10.0 * 256f64.log10();
+        assert!(d.applied_dynamic_range_db <= budget_db);
+        assert!(d.requested_dynamic_range_db > budget_db);
         // Maximality: one more reuse would have been infeasible again.
         let plus_one = AcceleratorConfig {
             optical_buffer: OpticalBufferKind::FeedBack {
@@ -728,14 +737,14 @@ mod tests {
                     resolved.map(|(degraded, record)| {
                         assert_eq!(degraded, with_reuses(record.applied_reuses));
                         assert_eq!(record.requested_reuses, reuses);
-                        assert_eq!(
-                            record.requested_dynamic_range.to_bits(),
-                            config.signal_dynamic_range().to_bits()
-                        );
-                        assert_eq!(
-                            record.applied_dynamic_range.to_bits(),
-                            degraded.signal_dynamic_range().to_bits()
-                        );
+                        // The recorded dB are the ratios' logarithms.
+                        for (db, c) in [
+                            (record.requested_dynamic_range_db, &config),
+                            (record.applied_dynamic_range_db, &degraded),
+                        ] {
+                            let want = 10.0 * c.signal_dynamic_range().log10();
+                            assert!((db - want).abs() <= 1e-9 * want, "{db} dB vs {want} dB");
+                        }
                         record.applied_reuses
                     })
                 });
@@ -764,6 +773,9 @@ mod tests {
         let report = simulate(&models::resnet18(), &cfg).expect("the count degrades");
         let d = report.degradation.expect("fallback must be recorded");
         assert_eq!(d.requested_reuses, i32::MAX as u32);
+        // The ratio overflows at this count; its dB do not.
+        assert!(cfg.signal_dynamic_range().is_infinite());
+        assert!(d.requested_dynamic_range_db.is_finite());
         let default_fallback = simulate(
             &models::resnet18(),
             &AcceleratorConfig {

@@ -236,15 +236,18 @@ pub fn tile_rows(rows: &[&[f64]], row_len: usize) -> Vec<f64> {
 /// # Panics
 ///
 /// Panics if the kernel is empty/ragged or wider than `row_len`.
-pub fn tile_kernel(kernel: &[Vec<f64>], row_len: usize) -> Vec<f64> {
+pub fn tile_kernel<R: AsRef<[f64]>>(kernel: &[R], row_len: usize) -> Vec<f64> {
     assert!(!kernel.is_empty(), "empty kernel");
-    let kw = kernel[0].len();
-    assert!(kernel.iter().all(|r| r.len() == kw), "ragged kernel");
+    let kw = kernel[0].as_ref().len();
+    assert!(
+        kernel.iter().all(|r| r.as_ref().len() == kw),
+        "ragged kernel"
+    );
     assert!(kw <= row_len, "kernel wider than row_len");
     let k = kernel.len();
     let mut out = Vec::with_capacity((k - 1) * row_len + kw);
     for (j, row) in kernel.iter().enumerate() {
-        out.extend_from_slice(row);
+        out.extend_from_slice(row.as_ref());
         if j + 1 < k {
             out.extend(std::iter::repeat_n(0.0, row_len - kw));
         }
@@ -396,7 +399,7 @@ impl RowSchedule {
     }
 
     /// The 1-D kernel of `pass`: its kernel rows, tiled.
-    pub fn kernel(&self, kernel: &[Vec<f64>], pass: &RowPass) -> Vec<f64> {
+    pub fn kernel<R: AsRef<[f64]>>(&self, kernel: &[R], pass: &RowPass) -> Vec<f64> {
         tile_kernel(&kernel[pass.kernel_rows.clone()], self.row_len)
     }
 

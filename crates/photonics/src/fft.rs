@@ -8,6 +8,12 @@
 //! up), so the transforms take power-of-two lengths only and panic on any
 //! other length; lengths 0 and 1 are no-ops.
 //!
+//! The JTC's lenses run crate-private variants that compute only what the
+//! detectors use, bit for bit the same: lens 1 forms bins `0..=N/2` only,
+//! and for an operand at the plane's origin (a kernel) it reads the
+//! operand in place and skips the first stages, which would only copy
+//! (`rfft_half_origin`); lens 2 unpacks only the samples read.
+//!
 //! Convention: `fft` computes `X[k] = sum_n x[n] * e^(-2*pi*i*k*n/N)` and
 //! `ifft` divides by `N`, so `ifft(fft(x)) == x`.
 //!
@@ -106,11 +112,39 @@ pub(crate) fn rfft_half(x: &[f64]) -> Vec<Complex64> {
     spectrum(x, x.len() / 2 + 1)
 }
 
+/// Bins `0..=n/2` of [`rfft`] of the `n`-sample plane that holds `x` from
+/// sample 0 and zeros after it, bit for bit, for a power-of-two `n >= 2`
+/// and `x.len() <= n`. The plane is never built: the samples are read
+/// where they are.
+///
+/// `x` fills the first `m = ⌈len/2⌉` packed inputs. In a stage of length
+/// `L <= (n/2) / m.next_power_of_two()`, each block of the bit-reversed
+/// buffer holds at most one of them, in its first slot, so each of its
+/// butterflies computes `u ± (+0)·w = u ± (±0.0)`, which is `u` unless a
+/// lane of `u` is `-0.0`. Those stages copy each block's first input
+/// across the block; the transform fills the blocks and runs only the
+/// stages after them. An `x` holding a `-0.0` or a non-finite value (whose
+/// NaN payloads the copy argument does not cover) takes every stage.
+pub(crate) fn rfft_half_origin(x: &[f64], n: usize) -> Vec<Complex64> {
+    debug_assert!(n.is_power_of_two() && n >= 2 && x.len() <= n);
+    let bins = n / 2 + 1;
+    let copies = x
+        .iter()
+        .all(|v| v.is_finite() && (*v != 0.0 || v.is_sign_positive()));
+    let copied = if copies {
+        n / 2 / x.len().div_ceil(2).next_power_of_two()
+    } else {
+        1
+    };
+    let sample = |j: usize| x.get(j).copied().unwrap_or(0.0);
+    unpacked(packed(n, sample, bins, copied), n, bins)
+}
+
 /// Bins `0..bins` of the DFT of real `x` (power-of-two length >= 2),
 /// `bins` being `N/2 + 1` or `N`, in one buffer of `bins` elements.
 fn spectrum(x: &[f64], bins: usize) -> Vec<Complex64> {
     let n = x.len();
-    unpacked(packed(n, |j| x[j], bins), n, bins)
+    unpacked(packed(n, |j| x[j], bins, 1), n, bins)
 }
 
 /// Samples `at` of [`ifft_real`]`(x)`, bit for bit, for a power-of-two
@@ -118,7 +152,7 @@ fn spectrum(x: &[f64], bins: usize) -> Vec<Complex64> {
 /// samples read are unpacked, conjugated and scaled.
 pub(crate) fn ifft_real_at(x: &[f64], at: impl Iterator<Item = usize>) -> Vec<Complex64> {
     let n = x.len();
-    unpacked_at(&packed(n, |j| x[j], n / 2), n, at)
+    unpacked_at(&packed(n, |j| x[j], n / 2, 1), n, at)
 }
 
 /// Samples `at` of [`ifft_real`] over the `N`-sample real spectrum whose
@@ -127,8 +161,8 @@ pub(crate) fn ifft_real_at(x: &[f64], at: impl Iterator<Item = usize>) -> Vec<Co
 /// power-of-two `N >= 2`; the mirrored bins are never stored.
 pub(crate) fn ifft_half_at(half: &[f64], at: impl Iterator<Item = usize>) -> Vec<Complex64> {
     let (bins, n) = (half.len(), 2 * (half.len() - 1));
-    let z = packed(n, |j| if j < bins { half[j] } else { half[n - j] }, n / 2);
-    unpacked_at(&z, n, at)
+    let mirrored = |j: usize| if j < bins { half[j] } else { half[n - j] };
+    unpacked_at(&packed(n, mirrored, n / 2, 1), n, at)
 }
 
 /// The half-length DFT `Z` of the packed sequence `z[i] = x[2i] + i·x[2i+1]`
@@ -136,7 +170,17 @@ pub(crate) fn ifft_half_at(half: &[f64], at: impl Iterator<Item = usize>) -> Vec
 /// for `capacity` bins. The pack writes each sample straight to its
 /// bit-reversed slot, which is the permutation [`FftPlan::forward`]
 /// would apply first.
-fn packed(n: usize, sample: impl Fn(usize) -> f64, capacity: usize) -> Vec<Complex64> {
+///
+/// With `copied > 1` (a power of two) the caller vouches that the stages
+/// of length up to `copied` only copy each block's first input across the
+/// block (see [`rfft_half_origin`]): the pack fills each block with it and
+/// those stages do not run.
+fn packed(
+    n: usize,
+    sample: impl Fn(usize) -> f64,
+    capacity: usize,
+    copied: usize,
+) -> Vec<Complex64> {
     debug_assert!(n.is_power_of_two() && n >= 2);
     let half = n / 2;
     let mut z = Vec::with_capacity(capacity);
@@ -144,12 +188,19 @@ fn packed(n: usize, sample: impl Fn(usize) -> f64, capacity: usize) -> Vec<Compl
         z.push(Complex64::new(sample(0), sample(1)));
         return z;
     }
+    let packed = |i: u32| {
+        let i = i as usize;
+        Complex64::new(sample(2 * i), sample(2 * i + 1))
+    };
     with_plan(half, |plan| {
-        z.extend(plan.rev.iter().map(|&i| {
-            let i = i as usize;
-            Complex64::new(sample(2 * i), sample(2 * i + 1))
-        }));
-        plan.stages(&mut z, &plan.twiddles);
+        if copied == 1 {
+            z.extend(plan.rev.iter().map(|&i| packed(i)));
+        } else {
+            for &i in plan.rev.iter().step_by(copied) {
+                z.extend(std::iter::repeat_n(packed(i), copied));
+            }
+        }
+        plan.stages(&mut z, &plan.twiddles, copied);
     });
     z
 }
@@ -336,16 +387,19 @@ impl FftPlan {
                 x.swap(i, j);
             }
         }
-        self.stages(x, twiddles);
+        self.stages(x, twiddles, 1);
     }
 
-    /// The butterfly stages over `x`, already in bit-reversed order. Each
-    /// stage walks its blocks and twiddles by iterator, so no operand is
-    /// bounds-checked; the first two stages (lengths 2 and 4) run as one
-    /// pass over groups of four, with the same multiplies and adds.
-    fn stages(&self, x: &mut [Complex64], twiddles: &[Complex64]) {
-        let mut stages = &self.stage_offsets[..];
-        if self.n >= 4 {
+    /// The butterfly stages longer than `copied` (a power of two; 1 runs
+    /// them all) over `x`, already in bit-reversed order. Each stage walks
+    /// its blocks and twiddles by iterator, so no operand is
+    /// bounds-checked; when they both run, the first two stages (lengths 2
+    /// and 4) run as one pass over groups of four, with the same
+    /// multiplies and adds.
+    fn stages(&self, x: &mut [Complex64], twiddles: &[Complex64], copied: usize) {
+        let skipped = copied.trailing_zeros() as usize;
+        let mut stages = &self.stage_offsets[skipped..];
+        if skipped == 0 && self.n >= 4 {
             stages = &stages[2..];
             let (w2, w4) = (twiddles[0], [twiddles[1], twiddles[2]]);
             for group in x.chunks_exact_mut(4) {
@@ -1006,6 +1060,48 @@ mod tests {
                     assert_bits(&got, &pick(&plane), &what("ifft_real_at"));
                     let got = ifft_half_at(half, at.iter().copied());
                     assert_bits(&got, &pick(&mirrored_plane), &what("ifft_half_at"));
+                }
+            }
+        }
+    }
+
+    /// Operands at the plane's origin, `len` samples each: dense powers,
+    /// values of both signs, all `+0.0`, and a mix of `+0.0`, subnormals,
+    /// huge and ordinary values, all of which take the copied stages; then
+    /// that mix with one `-0.0`, `+inf` or `-inf`, which take every stage.
+    fn origin_operands(len: usize) -> Vec<Vec<f64>> {
+        let specials = [0.0, 5e-324, f64::MIN_POSITIVE / 4.0, 1e300, 0.75, -2.5];
+        let picks = uniform(len, 11 * len as u64, 0.0, specials.len() as f64);
+        let mix: Vec<f64> = picks.iter().map(|&p| specials[p as usize]).collect();
+        let with = |v: f64| {
+            let mut x = mix.clone();
+            x[len / 2] = v;
+            x
+        };
+        vec![
+            uniform(len, len as u64, 0.0, 1.0),
+            uniform(len, 3 * len as u64, -1.0, 1.0),
+            vec![0.0; len],
+            mix.clone(),
+            with(-0.0),
+            with(f64::INFINITY),
+            with(f64::NEG_INFINITY),
+        ]
+    }
+
+    #[test]
+    fn origin_transform_matches_the_oracle_bit_for_bit() {
+        for n in (1..=12).map(|p| 1usize << p) {
+            // Every length up to 40, and each power of two up to n/2 with
+            // its neighbours, where the number of copied stages changes.
+            let near_power = |l: usize| (l - 1..=l + 1).any(usize::is_power_of_two);
+            for len in (1..=n / 2).filter(|&l| l <= 40 || near_power(l)) {
+                for (case, x) in origin_operands(len).iter().enumerate() {
+                    let mut plane = vec![0.0; n];
+                    plane[..len].copy_from_slice(x);
+                    let want = oracle::rfft(&plane);
+                    let what = format!("rfft_half_origin n={n} len={len} input {case}");
+                    assert_bits(&rfft_half_origin(x, n), &want[..=n / 2], &what);
                 }
             }
         }

@@ -40,7 +40,7 @@
 
 use crate::complex::Complex64;
 use crate::components::{Adc, Dac};
-use crate::fft::{ifft_half_at, ifft_real, ifft_real_at, rfft, rfft_half};
+use crate::fft::{ifft_half_at, ifft_real, ifft_real_at, rfft, rfft_half, rfft_half_origin};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
@@ -397,11 +397,15 @@ impl PlaneGeometry {
             "{which} length differs from its plane geometry"
         );
         check_power(which, values)?;
-        let mut plane = vec![0.0_f64; self.n];
-        plane[origin..origin + len].copy_from_slice(values);
         // A real field's spectrum is Hermitian: bins above n/2 are the
         // conjugates of those below and add nothing.
-        let bins = rfft_half(&plane);
+        let bins = if origin == 0 {
+            rfft_half_origin(values, self.n)
+        } else {
+            let mut plane = vec![0.0_f64; self.n];
+            plane[origin..origin + len].copy_from_slice(values);
+            rfft_half(&plane)
+        };
         Ok(Spectrum { origin, len, bins })
     }
 

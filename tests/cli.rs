@@ -52,6 +52,21 @@ fn sim_json_is_the_simulated_report() {
 }
 
 #[test]
+fn sim_json_reports_a_degraded_feedback_config() {
+    // At 30,000 reuses the replay ratio ρ^-R overflows an f64; the report
+    // records the ranges in dB, so it still serializes.
+    let args = ["sim", "--variant", "fb", "--network", "resnet18"];
+    let out = refocus(&[&args[..], &["--reuses", "30000", "--json"]].concat());
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let report: Report = serde_json::from_str(stdout(&out)).unwrap();
+    let d = report.degradation.expect("30,000 reuses degrade");
+    assert_eq!(d.requested_reuses, 30_000);
+    assert!(d.applied_reuses < d.requested_reuses);
+    assert!(d.requested_dynamic_range_db.is_finite());
+    assert!(d.requested_dynamic_range_db > d.applied_dynamic_range_db);
+}
+
+#[test]
 fn fault_study_resumes_to_the_uninterrupted_report() {
     let journal = scratch("cli-fault-study.jsonl");
     let summary = scratch("cli-fault-study-obs.json");
