@@ -510,15 +510,7 @@ fn run_layer(
     // and lens 2 are linear, so passes may share spectra and detector
     // sums.
     let results = if !jtc.has_converters() && !faults.is_some_and(FaultInjector::has_noise) {
-        let faults = faults.map(|injector| {
-            SpectralFaults::new(
-                injector,
-                epoch,
-                out_channels,
-                in_channels,
-                layer.schedule.passes().len(),
-            )
-        });
+        let faults = faults.map(|injector| SpectralFaults::new(injector, epoch, layer));
         Spectral {
             jtc,
             layer,
@@ -668,8 +660,8 @@ fn signal_spectra(jtc: &Jtc, layer: &Layer, passes: &[usize]) -> Vec<Spectrum> {
 /// operand before its one lens-1 spectrum, and the dead-pixel mask, linear
 /// and the same for every pass of one geometry, zeroes the summed readout.
 /// Laser drift is one factor per pass that scales the whole field.
-struct SpectralFaults<'a> {
-    injector: &'a FaultInjector,
+struct SpectralFaults {
+    sites: FaultSites,
     passes: usize,
     /// Per output channel, the drift factor of each (input channel, half,
     /// pass) in the per-pass path's order; empty when the spec has no
@@ -677,31 +669,34 @@ struct SpectralFaults<'a> {
     drift: Vec<Vec<f64>>,
 }
 
-impl<'a> SpectralFaults<'a> {
-    /// Walks each output channel's drift for layer fan-out `epoch` the way
-    /// the per-pass path does: one step per pass, (i, half, pass) order,
-    /// on [`FaultInjector::for_work_item`]`(epoch, o)`.
-    fn new(
-        injector: &'a FaultInjector,
-        epoch: u64,
-        out_channels: usize,
-        in_channels: usize,
-        passes: usize,
-    ) -> Self {
+impl SpectralFaults {
+    /// Draws the injector's fault sites once for `layer` and walks each
+    /// output channel's drift for layer fan-out `epoch` the way the
+    /// per-pass path does: one step per pass, (i, half, pass) order, on
+    /// [`FaultInjector::for_work_item`]`(epoch, o)`.
+    fn new(injector: &FaultInjector, epoch: u64, layer: &Layer) -> Self {
+        let schedule = &layer.schedule;
+        let (signals, kernels): (Vec<usize>, Vec<usize>) = schedule
+            .passes()
+            .iter()
+            .map(|pass| schedule.operand_lens(pass))
+            .unzip();
+        let longest = |lens: Vec<usize>| lens.into_iter().max().unwrap_or(0);
+        let passes = schedule.passes().len();
         let drift = if injector.spec().laser_drift_sigma == 0.0 {
             Vec::new()
         } else {
-            (0..out_channels)
+            (0..layer.out_channels())
                 .map(|o| {
                     let mut walk = injector.for_work_item(epoch, o as u64);
-                    (0..in_channels * 2 * passes)
+                    (0..layer.in_channels() * 2 * passes)
                         .map(|_| walk.laser_drift_step())
                         .collect()
                 })
                 .collect()
         };
         Self {
-            injector,
+            sites: FaultSites::new(injector, longest(kernels), longest(signals)),
             passes,
             drift,
         }
@@ -713,6 +708,81 @@ impl<'a> SpectralFaults<'a> {
         self.drift
             .get(o)
             .map_or(1.0, |d| d[(i * 2 + half) * self.passes + pass])
+    }
+}
+
+/// An injector's stuck taps and dead pixels over one layer's operands,
+/// drawn once per conv. Sites are pure functions of the injector's seed
+/// and the site index, the same for every
+/// [`FaultInjector::for_work_item`] child, so applying them equals
+/// [`FaultInjector::corrupt_kernel`] and
+/// [`FaultInjector::mask_dead_pixels`] bit for bit, without a hash per
+/// tap and pixel of every operand.
+#[derive(Debug)]
+struct FaultSites {
+    /// Stuck weight-bank taps below the layer's longest kernel operand,
+    /// ascending.
+    stuck: Vec<usize>,
+    stuck_level: f64,
+    /// Dead detector pixels below the layer's longest signal (the last
+    /// pixel a valid window reads), ascending.
+    dead: Vec<usize>,
+}
+
+impl FaultSites {
+    fn new(injector: &FaultInjector, taps: usize, pixels: usize) -> Self {
+        let spec = injector.spec();
+        // A zero rate draws no site, as the per-index methods return early.
+        let sites = |rate: f64, len: usize, hit: fn(&FaultInjector, usize) -> bool| {
+            if rate == 0.0 {
+                Vec::new()
+            } else {
+                (0..len).filter(|&i| hit(injector, i)).collect()
+            }
+        };
+        Self {
+            stuck: sites(spec.stuck_weight_rate, taps, FaultInjector::weight_is_stuck),
+            stuck_level: spec.stuck_weight_level,
+            dead: sites(spec.dead_pixel_rate, pixels, FaultInjector::pixel_is_dead),
+        }
+    }
+
+    /// The stuck taps of `kernel` and the value they freeze at.
+    fn stuck_taps(&self, kernel: &[f64]) -> (&[usize], f64) {
+        let stuck = &self.stuck[..self.stuck.partition_point(|&i| i < kernel.len())];
+        if stuck.is_empty() {
+            return (stuck, 0.0);
+        }
+        let full_scale = kernel.iter().fold(0.0_f64, |m, &v| m.max(v));
+        (stuck, self.stuck_level * full_scale)
+    }
+
+    /// Whether [`FaultInjector::corrupt_kernel`] leaves every bit of
+    /// `kernel` in place: each stuck tap already holds the stuck value.
+    fn leaves_kernel(&self, kernel: &[f64]) -> bool {
+        let (stuck, value) = self.stuck_taps(kernel);
+        stuck
+            .iter()
+            .all(|&i| kernel[i].to_bits() == value.to_bits())
+    }
+
+    /// [`FaultInjector::corrupt_kernel`] on a kernel no longer than the
+    /// layer's longest.
+    fn corrupt_kernel(&self, kernel: &mut [f64]) {
+        let (stuck, value) = self.stuck_taps(kernel);
+        for &i in stuck {
+            kernel[i] = value;
+        }
+    }
+
+    /// [`FaultInjector::mask_dead_pixels`] on a readout that ends at or
+    /// before the layer's longest signal.
+    fn mask_dead_pixels(&self, first_pixel: usize, detected: &mut [f64]) {
+        let from = self.dead.partition_point(|&p| p < first_pixel);
+        let end = first_pixel + detected.len();
+        for &p in self.dead[from..].iter().take_while(|&&p| p < end) {
+            detected[p - first_pixel] = 0.0;
+        }
     }
 }
 
@@ -754,7 +824,7 @@ struct Spectral<'a> {
     layer: &'a Layer,
     /// The layer's clean light, when a campaign computed it once.
     spectra: Option<&'a CleanSpectra>,
-    faults: Option<&'a SpectralFaults<'a>>,
+    faults: Option<&'a SpectralFaults>,
 }
 
 impl<'a> Spectral<'a> {
@@ -881,11 +951,10 @@ impl<'a> Spectral<'a> {
                 &fresh
             };
             let _s = refocus_obs::span("jtc.spectral.detect");
+            let kernels = [&*pair[0], &*pair[1]];
             for ((detectors, signal), &p) in detectors.iter_mut().zip(signals).zip(block.passes) {
-                for (half, (detector, kernel)) in detectors.iter_mut().zip(pair).enumerate() {
-                    let drift = self.faults.map_or(1.0, |f| f.drift(o, i, half, p));
-                    detector.add(signal, kernel, drift);
-                }
+                let drift = [0, 1].map(|half| self.faults.map_or(1.0, |f| f.drift(o, i, half, p)));
+                DetectorSum::add_pair(detectors, signal, kernels, drift);
             }
         }
         let _s = refocus_obs::span("jtc.spectral.lens2");
@@ -900,7 +969,7 @@ impl<'a> Spectral<'a> {
                         // Valid lag `v` is pixel `v + lk − 1` of the full
                         // window `Jtc::correlate_with_faults` masks.
                         let lk = layer.schedule.operand_lens(&layer.schedule.passes()[p]).1;
-                        faults.injector.mask_dead_pixels(lk - 1, &mut valid);
+                        faults.sites.mask_dead_pixels(lk - 1, &mut valid);
                     }
                     valid
                 })
@@ -915,19 +984,22 @@ impl<'a> Spectral<'a> {
     fn kernel_pair(&self, slot: usize, o: usize, i: usize) -> [Cow<'a, Spectrum>; 2] {
         let _s = refocus_obs::span("jtc.spectral.lens1");
         let layer = self.layer;
+        let sites = self.faults.map(|f| &f.sites);
         let mut transforms = 0;
         let pair = [0, 1].map(|half| {
             let clean = self.spectra.map(|s| s.kernel(o, i, half, slot));
-            let mut kernel = match clean {
-                Some((operand, _)) => operand.clone(),
-                None => layer.kernel(o, i, half, slot),
-            };
-            if let Some(faults) = self.faults {
-                faults.injector.corrupt_kernel(&mut kernel);
-            }
             match clean {
-                Some((operand, spectrum)) if same_bits(&kernel, operand) => Cow::Borrowed(spectrum),
+                Some((operand, spectrum)) if sites.is_none_or(|s| s.leaves_kernel(operand)) => {
+                    Cow::Borrowed(spectrum)
+                }
                 _ => {
+                    let mut kernel = match clean {
+                        Some((operand, _)) => operand.clone(),
+                        None => layer.kernel(o, i, half, slot),
+                    };
+                    if let Some(sites) = sites {
+                        sites.corrupt_kernel(&mut kernel);
+                    }
                     transforms += 1;
                     Cow::Owned(
                         self.jtc
@@ -940,14 +1012,6 @@ impl<'a> Spectral<'a> {
         refocus_obs::counter("jtc.lens1.transforms", transforms);
         pair
     }
-}
-
-/// Whether two operands agree bit for bit (`0.0` and `-0.0` differ), so
-/// their spectra do too.
-fn same_bits(a: &[f64], b: &[f64]) -> bool {
-    a.iter()
-        .map(|v| v.to_bits())
-        .eq(b.iter().map(|v| v.to_bits()))
 }
 
 /// Digital recombination of the pseudo-negative halves into one flat
@@ -1261,6 +1325,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Fault sites drawn once apply bit for bit as the per-index
+    /// `corrupt_kernel` and `mask_dead_pixels` do, and "leaves the kernel"
+    /// holds exactly when the per-index corruption moves no bit.
+    #[test]
+    fn fault_sites_match_the_per_index_injector() {
+        use refocus_photonics::faults::FaultSpec;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Signed zeros, repeated taps and taps equal to half the peak, so
+        // a stuck tap sometimes already holds its stuck value.
+        let kernels: [&[f64]; 5] = [
+            &[0.0, -0.0, 1.0, 1.0, 0.5, 0.0, 0.0, 1.0, -0.0, 0.5],
+            &[-0.0; 7],
+            &[0.25, 0.5, 0.25, 0.5, 0.25, 0.0, 0.5, 0.5, 0.5],
+            &[0.0; 12],
+            &[
+                2.0, 1.0, 2.0, 1.0, 0.0, 1.0, 2.0, 1.0, 2.0, 1.0, 0.0, 1.0, 2.0,
+            ],
+        ];
+        let (mut unchanged, mut changed) = (0, 0);
+        for rate in [0.0, 0.3, 1.0] {
+            for level in [0.0, 0.5] {
+                for seed in 0..16 {
+                    let spec = FaultSpec::none()
+                        .with_stuck_weights(rate, level)
+                        .with_dead_pixel_rate(rate);
+                    let injector = FaultInjector::new(spec, seed);
+                    let sites = FaultSites::new(&injector, 13, 40);
+                    for kernel in kernels {
+                        let (mut want, mut got) = (kernel.to_vec(), kernel.to_vec());
+                        injector.corrupt_kernel(&mut want);
+                        sites.corrupt_kernel(&mut got);
+                        assert_eq!(bits(&got), bits(&want), "rate {rate} level {level}");
+                        let same = bits(&want) == bits(kernel);
+                        assert_eq!(sites.leaves_kernel(kernel), same, "{kernel:?} {want:?}");
+                        if rate > 0.0 && same {
+                            unchanged += 1;
+                        } else if !same {
+                            changed += 1;
+                        }
+                    }
+                    for first in [0, 1, 7, 12] {
+                        for len in [0, 1, 5, 40 - first] {
+                            let readout: Vec<f64> = (0..len).map(|v| 1.0 + v as f64).collect();
+                            let (mut want, mut got) = (readout.clone(), readout);
+                            injector.mask_dead_pixels(first, &mut want);
+                            sites.mask_dead_pixels(first, &mut got);
+                            assert_eq!(bits(&got), bits(&want), "rate {rate} at {first}+{len}");
+                        }
+                    }
+                }
+            }
+        }
+        // Both answers occur at nonzero rates.
+        assert!(unchanged > 0 && changed > 0, "{unchanged} {changed}");
     }
 
     #[test]

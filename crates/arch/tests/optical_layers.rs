@@ -9,6 +9,8 @@
 //! - Every layer runs the lens-1 floor: one transform per (input channel,
 //!   pass) signal and one per (o, i, half, kernel slot) kernel, the
 //!   row-partitioned `conv1` layers included.
+//! - A fault campaign on the benchmark's campaign layer keeps the bits of
+//!   every cell and its lens transform counts.
 
 use refocus_arch::config::AcceleratorConfig;
 use refocus_arch::functional::OpticalExecutor;
@@ -256,4 +258,73 @@ fn every_layer_runs_the_lens1_floor() {
             spec.name
         );
     }
+}
+
+/// The benchmark's fault-campaign layer (4 → 8 channels, 12×12, 3×3,
+/// pad 1, ReFOCUS-FB) with its fault mix at up to 4× severity, so stuck
+/// taps and dead pixels reach 8%: FNV-1a over the bits of the reference
+/// peak, every cell and every row, plus the run's lens-1 and lens-2
+/// transform counts.
+#[test]
+fn campaign_cells_keep_their_bits_at_benchmark_shape() {
+    use refocus_arch::campaign::{FaultCampaign, Workload};
+    use refocus_photonics::faults::FaultSpec;
+
+    let _gate = serial();
+    let spec = FaultSpec::none()
+        .with_stuck_weights(0.02, 0.0)
+        .with_dead_pixel_rate(0.02)
+        .with_laser_drift(0.002, 0.05);
+    let layer = Workload {
+        in_channels: 4,
+        out_channels: 8,
+        height: 12,
+        width: 12,
+        kernel: 3,
+        stride: 1,
+        padding: 1,
+        data_seed: 0x5eed_0004_0008,
+    };
+    let seeds: Vec<u64> = (1..=8).map(|s| s * 0x9E37_79B9).collect();
+    let campaign = FaultCampaign::new(AcceleratorConfig::refocus_fb(), spec)
+        .with_severities(&[0.25, 1.0, 4.0])
+        .with_seeds(&seeds)
+        .with_workload(layer);
+    let collector = refocus_obs::Collector::enabled();
+    let report = campaign.run().expect("campaign runs");
+    let obs = collector.finish();
+    assert!(report.is_complete());
+    let cells = report.cells.iter().flat_map(|c| {
+        [
+            c.severity.to_bits(),
+            c.seed,
+            c.max_abs_error.to_bits(),
+            c.rms_error.to_bits(),
+        ]
+    });
+    let rows = report.rows.iter().flat_map(|r| {
+        [
+            r.severity.to_bits(),
+            r.seeds as u64,
+            r.mean_max_abs_error.to_bits(),
+            r.worst_max_abs_error.to_bits(),
+            r.mean_rms_error.to_bits(),
+        ]
+    });
+    let hash = std::iter::once(report.reference_peak.to_bits())
+        .chain(cells)
+        .chain(rows)
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+    let counts = (
+        obs.counter("jtc.lens1.transforms"),
+        obs.counter("jtc.lens2.transforms"),
+    );
+    assert_eq!(
+        (hash, counts),
+        (0x5c5c_3dd5_5783_72ad, (201, 400)),
+        "{hash:#018x} {counts:?}"
+    );
 }

@@ -261,14 +261,15 @@ fn unpacked(mut z: Vec<Complex64>, n: usize, bins: usize) -> Vec<Complex64> {
 }
 
 /// Samples `at` of the inverse DFT of the `n` real values whose packed
-/// transform is `z`: for real `x`, `ifft(x)[j] = conj(X[j]) / n`.
+/// transform is `z`: for real `x`, `ifft(x)[j] = conj(X[j]) / n`. `n` is a
+/// power of two, so `& (half - 1)` is `% half` without a division.
 fn unpacked_at(z: &[Complex64], n: usize, at: impl Iterator<Item = usize>) -> Vec<Complex64> {
     let half = n / 2;
-    let inv_n = 1.0 / n as f64;
+    let (mask, inv_n) = (half - 1, 1.0 / n as f64);
     with_unpack_twiddles(n, |w| {
         at.map(|j| {
-            let k = j % half;
-            let (lo, hi) = unpack(z[k], z[(half - k) % half], w[k]);
+            let k = j & mask;
+            let (lo, hi) = unpack(z[k], z[(half - k) & mask], w[k]);
             let v = if j < half { lo } else { hi };
             v.conj().scale(inv_n)
         })

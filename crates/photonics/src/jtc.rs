@@ -423,10 +423,13 @@ impl PlaneGeometry {
         0..self.signal_len as isize - self.kernel_len as isize + 1
     }
 
-    /// The output-plane samples of the `+sep` cross term at `lags`.
+    /// The output-plane samples of the `+sep` cross term at `lags`, wrapped
+    /// onto the circular plane. `n` is a power of two, so masking the
+    /// two's-complement index with `n - 1` is `rem_euclid(n)` without a
+    /// division, negative indices included.
     fn cross_term_samples(&self, lags: Range<isize>) -> impl Iterator<Item = usize> {
-        let (sep, n) = (self.sep as isize, self.n as isize);
-        lags.map(move |lag| (sep + lag).rem_euclid(n) as usize)
+        let (sep, mask) = (self.sep as isize, self.n - 1);
+        lags.map(move |lag| (sep + lag) as usize & mask)
     }
 }
 
@@ -473,6 +476,63 @@ impl DetectorSum {
     ///
     /// Panics if either spectrum was computed for another geometry.
     pub fn add(&mut self, signal: &Spectrum, kernel: &Spectrum, field_scale: f64) {
+        self.check(signal, kernel);
+        let fields = signal.bins.iter().zip(&kernel.bins).map(|(&s, &k)| s + k);
+        // Scaling by 1.0 is exact but not free in this inner loop, so a
+        // clean pass skips it.
+        if field_scale == 1.0 {
+            self.accumulate(fields.map(|f| f.norm_sqr()));
+        } else {
+            self.accumulate(fields.map(|f| (f * field_scale).norm_sqr()));
+        }
+    }
+
+    /// Adds one pass to each detector of a pair that reads the same signal
+    /// light, such as a filter's positive and negative pseudo-negative
+    /// halves: `signal` meets `kernels[h]` on `pair[h]` with field scale
+    /// `field_scales[h]`. One walk over the signal spectrum feeds both, and
+    /// each detector takes exactly the additions of
+    /// `pair[h].add(signal, kernels[h], field_scales[h])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a spectrum was computed for another geometry than its
+    /// detector's.
+    pub fn add_pair(
+        pair: &mut [DetectorSum; 2],
+        signal: &Spectrum,
+        kernels: [&Spectrum; 2],
+        field_scales: [f64; 2],
+    ) {
+        let [a, b] = pair;
+        a.check(signal, kernels[0]);
+        b.check(signal, kernels[1]);
+        let accs = [&mut a.intensity[..], &mut b.intensity[..]];
+        let kernels = kernels.map(|k| &k.bins[..]);
+        let plain = |f: Complex64| f.norm_sqr();
+        let scaled = |scale: f64| move |f: Complex64| (f * scale).norm_sqr();
+        // As in `add`, an unscaled half skips the multiply.
+        match field_scales.map(|scale| scale == 1.0) {
+            [true, true] => accumulate_pair(accs, &signal.bins, kernels, plain, plain),
+            [true, false] => {
+                accumulate_pair(accs, &signal.bins, kernels, plain, scaled(field_scales[1]));
+            }
+            [false, true] => {
+                accumulate_pair(accs, &signal.bins, kernels, scaled(field_scales[0]), plain);
+            }
+            [false, false] => accumulate_pair(
+                accs,
+                &signal.bins,
+                kernels,
+                scaled(field_scales[0]),
+                scaled(field_scales[1]),
+            ),
+        }
+    }
+
+    /// Asserts that `signal` and `kernel` were computed for this
+    /// detector's geometry.
+    fn check(&self, signal: &Spectrum, kernel: &Spectrum) {
         let g = &self.geometry;
         let bins = g.n / 2 + 1;
         assert!(
@@ -484,14 +544,6 @@ impl DetectorSum {
                 && kernel.bins.len() == bins,
             "spectra computed for another plane geometry"
         );
-        let fields = signal.bins.iter().zip(&kernel.bins).map(|(&s, &k)| s + k);
-        // Scaling by 1.0 is exact but not free in this inner loop, so a
-        // clean pass skips it.
-        if field_scale == 1.0 {
-            self.accumulate(fields.map(|f| f.norm_sqr()));
-        } else {
-            self.accumulate(fields.map(|f| (f * field_scale).norm_sqr()));
-        }
     }
 
     /// Adds one pass's Fourier-plane intensity, bins `0..=n/2`.
@@ -505,6 +557,23 @@ impl DetectorSum {
     /// reads one pass.
     pub fn read_valid(&self) -> Vec<f64> {
         self.geometry.lens2_valid(&self.intensity)
+    }
+}
+
+/// Adds the intensities `a(s + k_a)` and `b(s + k_b)` of each bin to the
+/// two accumulators, reading each signal bin once.
+fn accumulate_pair(
+    [acc_a, acc_b]: [&mut [f64]; 2],
+    signal: &[Complex64],
+    [kernel_a, kernel_b]: [&[Complex64]; 2],
+    a: impl Fn(Complex64) -> f64,
+    b: impl Fn(Complex64) -> f64,
+) {
+    let accs = acc_a.iter_mut().zip(acc_b.iter_mut());
+    let kernels = kernel_a.iter().zip(kernel_b);
+    for (((sum_a, sum_b), &s), (&ka, &kb)) in accs.zip(signal).zip(kernels) {
+        *sum_a += a(s + ka);
+        *sum_b += b(s + kb);
     }
 }
 
@@ -933,6 +1002,72 @@ mod tests {
             let plane = oracle::ifft_real(&mirrored);
             let want = oracle::read_cross_term(&plane, g.sep, n, g.valid_lags());
             assert_same_bits(&detector.read_valid(), &want, &format!("S={ls} K={lk}"));
+        }
+    }
+
+    /// One pair add takes, per detector, exactly the additions of one
+    /// `add`, for every combination of unit and non-unit field scales.
+    #[test]
+    fn detector_pair_add_matches_two_adds_bit_for_bit() {
+        let jtc = Jtc::ideal();
+        let bits = |d: &DetectorSum| d.intensity.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (signal, kernel) in operand_pairs() {
+            let (ls, lk) = (signal.len(), kernel.len());
+            let g = jtc.plane_geometry(ls, lk).unwrap();
+            let negative: Vec<f64> = kernel.iter().rev().map(|v| v * 0.5).collect();
+            let kernels = [&kernel, &negative].map(|k| jtc.kernel_spectrum(g, k).unwrap());
+            let signal = jtc.signal_spectrum(g, &signal).unwrap();
+            for s in [1.03, 0.96] {
+                for field_scales in [[1.0, 1.0], [1.0, s], [s, 1.0], [s, s]] {
+                    let mut pair = [jtc.detector(g), jtc.detector(g)];
+                    let mut singles = pair.clone();
+                    // Three passes, so each accumulator adds onto a sum.
+                    for _ in 0..3 {
+                        DetectorSum::add_pair(
+                            &mut pair,
+                            &signal,
+                            [&kernels[0], &kernels[1]],
+                            field_scales,
+                        );
+                        for ((single, kernel), scale) in
+                            singles.iter_mut().zip(&kernels).zip(field_scales)
+                        {
+                            single.add(&signal, kernel, scale);
+                        }
+                    }
+                    for (got, want) in pair.iter().zip(&singles) {
+                        assert_eq!(bits(got), bits(want), "S={ls} K={lk} {field_scales:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The masked readout index is `rem_euclid` at every power-of-two
+    /// plane, for every lag a pass reads, where `sep + lag` wraps below
+    /// zero and past `n`.
+    #[test]
+    fn cross_term_samples_match_rem_euclid() {
+        for log_n in 1..=12 {
+            let n = 1usize << log_n;
+            for sep in [0, 1, n / 2, n - 1, n, 3 * n + 1] {
+                for (ls, lk) in [(1, 1), (n, 1), (n + 3, n + 2), (3, 2 * n + 1)] {
+                    let g = PlaneGeometry {
+                        signal_len: ls,
+                        kernel_len: lk,
+                        sep,
+                        n,
+                    };
+                    let lags = -(lk as isize - 1)..ls as isize;
+                    let want = lags
+                        .clone()
+                        .map(|lag| (sep as isize + lag).rem_euclid(n as isize) as usize);
+                    assert!(
+                        g.cross_term_samples(lags).eq(want),
+                        "n={n} sep={sep} S={ls} K={lk}"
+                    );
+                }
+            }
         }
     }
 }
