@@ -47,12 +47,12 @@
 use crate::checkpoint::Checkpoint;
 use crate::config::AcceleratorConfig;
 use crate::error::{FailureKind, SimError};
-use crate::functional::{CleanSpectra, FunctionalError, OpticalExecutor};
+use crate::functional::{row_schedule, CleanSpectra, FunctionalError, OpticalExecutor};
 use crate::grid::{self, Outcome};
 pub use crate::grid::{RunBudget, SkipReason};
 use refocus_nn::conv::ConvError;
 use refocus_nn::tensor::{Tensor3, Tensor4};
-use refocus_nn::tiling::{RowSchedule, TilingError, TilingMode};
+use refocus_nn::tiling::TilingError;
 use refocus_photonics::faults::{FaultInjector, FaultSpec};
 use refocus_photonics::jtc::Jtc;
 use serde::{Deserialize, Serialize};
@@ -108,14 +108,13 @@ impl Workload {
             return Err(TilingError::BadOperand(what));
         }
         let pad = self.padding.saturating_mul(2);
-        RowSchedule::new(
+        row_schedule(
             (
                 self.height.saturating_add(pad),
                 self.width.saturating_add(pad),
             ),
             (self.kernel, self.kernel),
             config.tile,
-            TilingMode::Exact,
             self.stride,
         )
         .map(|_| ())

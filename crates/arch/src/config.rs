@@ -110,8 +110,6 @@ pub struct AcceleratorConfig {
     pub clock: GigaHertz,
     /// JTC input waveguides per RFCU (`T` = 256).
     pub tile: usize,
-    /// Active weight waveguides per RFCU (25).
-    pub weight_waveguides: usize,
     /// Compute units.
     pub rfcus: usize,
     /// WDM wavelengths per RFCU (`N_λ`).
@@ -148,7 +146,6 @@ impl AcceleratorConfig {
             name: "ReFOCUS-FF".into(),
             clock: GigaHertz::new(10.0),
             tile: 256,
-            weight_waveguides: 25,
             rfcus: 16,
             wavelengths: 2,
             delay_cycles: 16,
@@ -216,9 +213,6 @@ impl AcceleratorConfig {
         }
         if self.wavelengths == 0 {
             return Err(ConfigError::ZeroParameter("wavelengths"));
-        }
-        if self.weight_waveguides == 0 {
-            return Err(ConfigError::ZeroParameter("weight_waveguides"));
         }
         if self.temporal_accumulation == 0 {
             return Err(ConfigError::ZeroParameter("temporal_accumulation"));
@@ -303,11 +297,6 @@ impl AcceleratorConfig {
         }
     }
 
-    /// ADC readout clock after temporal accumulation.
-    pub fn adc_clock(&self) -> GigaHertz {
-        GigaHertz::new(self.clock.value() / self.temporal_accumulation as f64)
-    }
-
     /// Dynamic range the optical buffer imposes on input signals (ratio of
     /// strongest to weakest replay; 1.0 without a buffer).
     pub fn signal_dynamic_range(&self) -> f64 {
@@ -359,8 +348,6 @@ mod tests {
         assert_eq!(ff.delay_cycles, 16);
         assert_eq!(ff.temporal_accumulation, 16);
         assert_eq!(ff.clock.value(), 10.0);
-        // ADC at 625 MHz.
-        assert!((ff.adc_clock().value() - 0.625).abs() < 1e-12);
         let fb = AcceleratorConfig::refocus_fb();
         assert_eq!(
             fb.optical_buffer,
@@ -384,7 +371,6 @@ mod tests {
     fn single_jtc_reads_adc_every_cycle() {
         let s = AcceleratorConfig::single_jtc();
         assert_eq!(s.temporal_accumulation, 1);
-        assert!((s.adc_clock().value() - 10.0).abs() < 1e-12);
     }
 
     #[test]

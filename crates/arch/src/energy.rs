@@ -31,6 +31,7 @@ use refocus_memsim::dram::Dram;
 use refocus_memsim::hierarchy::Traffic;
 use refocus_memsim::sram::{Sram, KIB, MIB};
 use refocus_nn::layer::{ConvSpec, Network};
+use refocus_nn::tiling::MAX_ACTIVE_WEIGHT_TAPS;
 use refocus_photonics::components::{Adc, Dac, Laser, Mrr};
 use refocus_photonics::units::{Joules, PicoJoules, Seconds, Watts};
 use serde::{Deserialize, Serialize};
@@ -218,7 +219,7 @@ impl EnergyModel {
         let laser = Laser::new();
         let min = laser.min_power().to_watts().value();
         let input_sources = (config.tile * config.wavelengths) as f64;
-        let weight_sources = (config.weight_waveguides * config.wavelengths * config.rfcus) as f64;
+        let weight_sources = (MAX_ACTIVE_WEIGHT_TAPS * config.wavelengths * config.rfcus) as f64;
         let laser_power =
             Watts::new(min * (input_sources * config.laser_overhead() + weight_sources));
         // The share of that emission spent purely on compensating the
@@ -286,11 +287,6 @@ impl EnergyModel {
     /// compensating optical-buffer losses (zero without a buffer).
     pub fn laser_compensation_power(&self) -> Watts {
         self.laser_compensation_power
-    }
-
-    /// Energy of one layer given its performance analysis.
-    pub fn layer_energy(&self, layer: &ConvSpec, perf: &LayerPerf) -> EnergyBreakdown {
-        self.layer_accounting(layer, perf).0
     }
 
     /// Energy of one layer plus the dataflow [`Traffic`] it was charged

@@ -6,21 +6,18 @@
 //! split, row tiling onto the JTC plane, one optical pass per
 //! (chunk, channel, filter, half), channel accumulation, digital recombine
 //! — with every 1-D pass going through the *field-level* JTC model of
-//! [`refocus_photonics::jtc`], optionally with 8-bit converters and
-//! feedback-buffer attenuation + weight rescaling (§4.1.1).
+//! [`refocus_photonics::jtc`], optionally with 8-bit converters.
 //!
-//! Only the output rows a strided layer keeps are computed. When no pass
-//! carries state of its own (no converter, no analog noise), passes share
-//! lens-1 spectra and detector sums the way the hardware reuses light,
-//! with or without stuck taps, dead pixels and laser drift; see DESIGN.md
-//! §3, "Functional path: spectral reuse".
+//! Only the output rows a strided layer keeps are computed. Without
+//! converters, passes share lens-1 spectra and detector sums the way the
+//! hardware reuses light, with or without stuck taps, dead pixels and
+//! laser drift; see DESIGN.md §3, "Functional path: spectral reuse".
 
 use crate::config::AcceleratorConfig;
 use refocus_nn::conv::ConvError;
 use refocus_nn::quant::PseudoNegativeSplit;
 use refocus_nn::tensor::{Tensor3, Tensor4};
-use refocus_nn::tiling::{tiled_conv2d_strided_with, RowSchedule, TilingError, TilingMode};
-use refocus_photonics::buffer::FeedbackBuffer;
+use refocus_nn::tiling::{RowSchedule, TilingError, TilingMode};
 use refocus_photonics::faults::FaultInjector;
 use refocus_photonics::jtc::{DetectorSum, Jtc, PlaneGeometry, Spectrum};
 use std::borrow::Cow;
@@ -98,8 +95,8 @@ pub struct OpticalExecutor {
     /// model's pass accounting).
     passes: std::cell::Cell<u64>,
     /// Device-fault model applied to every optical pass, if any. Interior
-    /// mutability because fault state (the laser drift walk, composed
-    /// noise) advances per pass while `conv2d` takes `&self`.
+    /// mutability because its epoch counter advances per conv while
+    /// `conv2d` takes `&self`.
     faults: Option<std::cell::RefCell<FaultInjector>>,
 }
 
@@ -115,17 +112,17 @@ impl OpticalExecutor {
     }
 
     /// Attaches a device-fault model (stuck weight taps, dead detector
-    /// pixels, laser drift, composed analog noise) to every subsequent
-    /// optical pass, with the result [`Jtc::correlate_with_faults`] gives
-    /// pass by pass. Without noise or converters the layer still runs on
-    /// the spectral path (see [`Self::conv2d`]); a transparent injector
-    /// leaves results bit-identical.
+    /// pixels, laser drift) to every subsequent optical pass, with the
+    /// result [`Jtc::correlate_with_faults`] gives pass by pass. Without
+    /// converters the layer still runs on the spectral path (see
+    /// [`Self::conv2d`]); a transparent injector leaves results
+    /// bit-identical.
     pub fn with_faults(mut self, injector: FaultInjector) -> Self {
         self.faults = Some(std::cell::RefCell::new(injector));
         self
     }
 
-    /// Rewinds the attached fault model's stream state (drift walk, noise)
+    /// Rewinds the attached fault model's stream state (epochs, drift walk)
     /// so a layer can be re-run under the identical fault realization.
     /// No-op without an attached injector.
     pub fn reset_faults(&self) {
@@ -154,20 +151,20 @@ impl OpticalExecutor {
     /// [`refocus_nn::conv::conv2d`]) entirely through optical passes.
     ///
     /// Only the kept output rows (`oy % stride == 0`) are computed. With
-    /// no DAC, no ADC and no analog noise, passes share lens-1 spectra and
-    /// each (output channel, pass, half) detector sums its input channels
-    /// before one lens-2 transform; [`Self::passes`] still counts one pass
-    /// per (o, i, half, tile). A fault model rides along: stuck taps
-    /// corrupt the shared kernel spectra, each pass's laser drift scales
-    /// its field at the detector, and dead pixels mask the summed readout.
-    /// Noisy or quantized layers run pass by pass through
+    /// no DAC and no ADC, passes share lens-1 spectra and each (output
+    /// channel, pass, half) detector sums its input channels before one
+    /// lens-2 transform; [`Self::passes`] still counts one pass per (o, i,
+    /// half, tile). A fault model rides along: stuck taps corrupt the
+    /// shared kernel spectra, each pass's laser drift scales its field at
+    /// the detector, and dead pixels mask the summed readout. Quantized
+    /// layers run the same row schedule pass by pass through
     /// [`Jtc::correlate_with_faults`] / [`Jtc::correlate`].
     ///
     /// Output channels execute in parallel on the [`refocus_par`] pool.
     /// Results are bit-identical at every thread count: each channel
-    /// derives its fault/noise stream purely from the layer's fan-out
-    /// epoch and its own index (see [`FaultInjector::for_work_item`]),
-    /// never from execution order.
+    /// derives its drift walk purely from the layer's fan-out epoch and
+    /// its own index (see [`FaultInjector::for_work_item`]), never from
+    /// execution order.
     ///
     /// # Errors
     ///
@@ -180,17 +177,9 @@ impl OpticalExecutor {
         stride: usize,
         padding: usize,
     ) -> Result<Tensor3, FunctionalError> {
-        let (epoch, snapshot) = self.reserve_epochs(1);
-        let (out, passes) = Self::conv2d_core(
-            &self.jtc,
-            self.tile,
-            input,
-            weights,
-            stride,
-            padding,
-            snapshot.as_ref(),
-            epoch,
-        )?;
+        let (epoch, snapshot) = self.reserve_epoch();
+        let layer = Layer::new(&self.jtc, self.tile, input, weights, stride, padding)?;
+        let (out, passes) = run_layer(&self.jtc, &layer, snapshot.as_ref(), epoch, None)?;
         self.passes.set(self.passes.get() + passes);
         Ok(out)
     }
@@ -228,7 +217,7 @@ impl OpticalExecutor {
         &self,
         spectra: &CleanSpectra,
     ) -> Result<Tensor3, FunctionalError> {
-        let (epoch, snapshot) = self.reserve_epochs(1);
+        let (epoch, snapshot) = self.reserve_epoch();
         let (out, passes) = run_layer(
             &self.jtc,
             &spectra.layer,
@@ -240,119 +229,17 @@ impl OpticalExecutor {
         Ok(out)
     }
 
-    /// Reserves `count` fan-out epochs on the attached fault model and
+    /// Reserves one fan-out epoch on the attached fault model and
     /// snapshots it. Reserving is the only sequential fault-state step;
     /// everything downstream is a pure function of (seed, epoch, o).
-    fn reserve_epochs(&self, count: u64) -> (u64, Option<FaultInjector>) {
+    fn reserve_epoch(&self) -> (u64, Option<FaultInjector>) {
         match &self.faults {
             Some(faults) => {
-                let epoch = faults.borrow_mut().reserve_epochs(count);
+                let epoch = faults.borrow_mut().reserve_epochs(1);
                 (epoch, Some(faults.borrow().clone()))
             }
             None => (0, None),
         }
-    }
-
-    /// The cell-free convolution kernel shared by [`OpticalExecutor::conv2d`]
-    /// and [`OpticalExecutor::conv2d_with_feedback_reuse`]: no interior
-    /// mutability, so per-channel workers can run on pool threads. Returns
-    /// the output tensor and the number of optical passes performed.
-    #[allow(clippy::too_many_arguments)]
-    fn conv2d_core(
-        jtc: &Jtc,
-        tile: usize,
-        input: &Tensor3,
-        weights: &Tensor4,
-        stride: usize,
-        padding: usize,
-        faults: Option<&FaultInjector>,
-        epoch: u64,
-    ) -> Result<(Tensor3, u64), FunctionalError> {
-        let layer = Layer::new(jtc, tile, input, weights, stride, padding)?;
-        run_layer(jtc, &layer, faults, epoch, None)
-    }
-
-    /// Like [`OpticalExecutor::conv2d`], but models the feedback buffer's
-    /// per-replay attenuation and the §4.1.1 hardware-aware compensation:
-    /// each filter `o` sees inputs attenuated by `ρ^(o mod (R+1))` and its
-    /// outputs are rescaled digitally. With exact arithmetic the result
-    /// equals the unattenuated convolution.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`OpticalExecutor::conv2d`].
-    pub fn conv2d_with_feedback_reuse(
-        &self,
-        input: &Tensor3,
-        weights: &Tensor4,
-        stride: usize,
-        padding: usize,
-        buffer: &FeedbackBuffer,
-    ) -> Result<Tensor3, FunctionalError> {
-        let rescale = buffer.weight_rescale_factors();
-        let period = rescale.len();
-        let out_channels = weights.out_channels();
-        // One epoch per single-filter convolution — the same reservation
-        // the serial per-filter conv2d calls would have made, so fault
-        // streams agree between this path and a filter-at-a-time run.
-        let (first_epoch, snapshot) = self.reserve_epochs(out_channels as u64);
-        let (jtc, tile) = (&self.jtc, self.tile);
-
-        let channels: Vec<usize> = (0..out_channels).collect();
-        let results: Vec<Result<(Tensor3, u64), FunctionalError>> =
-            refocus_par::par_map(&channels, |&o| {
-                let iteration = o % period;
-                // Replayed light: attenuated input relative to iteration 0.
-                let attenuation =
-                    buffer.power_at_iteration(iteration as u32) / buffer.power_at_iteration(0);
-                let mut attenuated = input.clone();
-                attenuated.map_inplace(|v| v * attenuation);
-                // Single-filter weight tensor.
-                let mut single = Tensor4::zeros(
-                    1,
-                    weights.in_channels(),
-                    weights.kernel_h(),
-                    weights.kernel_w(),
-                );
-                for i in 0..weights.in_channels() {
-                    for ky in 0..weights.kernel_h() {
-                        for kx in 0..weights.kernel_w() {
-                            single.set(0, i, ky, kx, weights.get(o, i, ky, kx));
-                        }
-                    }
-                }
-                let (mut partial, local_passes) = Self::conv2d_core(
-                    jtc,
-                    tile,
-                    &attenuated,
-                    &single,
-                    stride,
-                    padding,
-                    snapshot.as_ref(),
-                    first_epoch + o as u64,
-                )?;
-                // Digital rescale: ρ^-iteration relative to iteration 0.
-                let factor = rescale[iteration] / rescale[0];
-                partial.map_inplace(|v| v * factor);
-                Ok((partial, local_passes))
-            });
-
-        let mut out: Option<Tensor3> = None;
-        let mut total_passes = 0u64;
-        for (o, result) in results.into_iter().enumerate() {
-            let (partial, local_passes) = result?;
-            total_passes += local_passes;
-            let result = out.get_or_insert_with(|| {
-                Tensor3::zeros(out_channels, partial.height(), partial.width())
-            });
-            for y in 0..partial.height() {
-                for x in 0..partial.width() {
-                    result.set(o, y, x, partial.get(0, y, x));
-                }
-            }
-        }
-        self.passes.set(self.passes.get() + total_passes);
-        Ok(out.expect("at least one output filter"))
     }
 }
 
@@ -363,8 +250,6 @@ impl OpticalExecutor {
 struct Layer {
     /// Unpadded input height and width (for the `conv2d` span label).
     input_hw: (usize, usize),
-    tile: usize,
-    stride: usize,
     split: PseudoNegativeSplit,
     /// Padded rows of each input channel.
     channel_rows: Vec<Vec<Vec<f64>>>,
@@ -381,9 +266,7 @@ struct Layer {
 
 impl Layer {
     /// Lays out `conv2d(input, weights, stride, padding)` on `tile`
-    /// waveguides in [`TilingMode::Exact`], which keeps the functional
-    /// result bit-identical to the digital reference irrespective of
-    /// column bookkeeping.
+    /// waveguides along its [`row_schedule`].
     fn new(
         jtc: &Jtc,
         tile: usize,
@@ -417,13 +300,7 @@ impl Layer {
         let channel_rows: Vec<Vec<Vec<f64>>> = (0..input.channels())
             .map(|i| padded.channel_rows(i).iter().map(|r| r.to_vec()).collect())
             .collect();
-        let schedule = RowSchedule::new(
-            (padded.height(), padded.width()),
-            (kh, kw),
-            tile,
-            TilingMode::Exact,
-            stride,
-        )?;
+        let schedule = row_schedule((padded.height(), padded.width()), (kh, kw), tile, stride)?;
         let passes = schedule.passes();
         let geometries: Vec<PlaneGeometry> = passes
             .iter()
@@ -448,8 +325,6 @@ impl Layer {
             .collect();
         Ok(Self {
             input_hw: (input.height(), input.width()),
-            tile,
-            stride,
             split: PseudoNegativeSplit::of(weights),
             channel_rows,
             schedule,
@@ -485,6 +360,24 @@ impl Layer {
     }
 }
 
+/// The row schedule of a valid convolution of a `padded_hw` input with a
+/// `kernel_hw` kernel on `tile` waveguides. It is always
+/// [`TilingMode::Exact`], which keeps the functional result bit-identical
+/// to the digital reference irrespective of column bookkeeping; every
+/// functional layer and the campaign's workload check plan through here.
+///
+/// # Errors
+///
+/// [`TilingError`] as [`RowSchedule::new`] returns it.
+pub(crate) fn row_schedule(
+    padded_hw: (usize, usize),
+    kernel_hw: (usize, usize),
+    tile: usize,
+    stride: usize,
+) -> Result<RowSchedule, TilingError> {
+    RowSchedule::new(padded_hw, kernel_hw, tile, TilingMode::Exact, stride)
+}
+
 /// Runs `layer` under `faults` for fan-out `epoch`, reusing `spectra`
 /// (built for this layer) on the spectral path. Returns the output tensor
 /// and the optical pass count.
@@ -505,11 +398,10 @@ fn run_layer(
     // A transparent injector changes nothing, so it takes the clean
     // path untouched.
     let faults = faults.filter(|f| !f.is_transparent());
-    // With no converter and no noise, a pass differs from the others
-    // only in its light and in faults that are linear in it: lens 1
-    // and lens 2 are linear, so passes may share spectra and detector
-    // sums.
-    let results = if !jtc.has_converters() && !faults.is_some_and(FaultInjector::has_noise) {
+    // Without converters, a pass differs from the others only in its
+    // light and in faults that are linear in it: lens 1 and lens 2 are
+    // linear, so passes may share spectra and detector sums.
+    let results = if !jtc.has_converters() {
         let faults = faults.map(|injector| SpectralFaults::new(injector, epoch, layer));
         Spectral {
             jtc,
@@ -519,47 +411,7 @@ fn run_layer(
         }
         .channels()
     } else {
-        let (split, tile, stride) = (&layer.split, layer.tile, layer.stride);
-        let channels: Vec<usize> = (0..out_channels).collect();
-        refocus_par::par_map(&channels, |&o| {
-            // One span per output-channel worker: this is the unit the
-            // row-tiling fan-out distributes over pool threads.
-            let _chan = refocus_obs::span_with("conv2d.channel", || format!("oc={o}"));
-            let mut worker_faults = faults.map(|f| f.for_work_item(epoch, o as u64));
-            let mut local_passes = 0u64;
-            // Accumulate positive and negative halves over channels.
-            let mut pos = vec![vec![0.0; out_w]; out_h];
-            let mut neg = vec![vec![0.0; out_w]; out_h];
-            for (i, rows) in layer.channel_rows.iter().enumerate() {
-                for (half, acc) in [
-                    (split.positive.kernel(o, i), &mut pos),
-                    (split.negative.kernel(o, i), &mut neg),
-                ] {
-                    let partial = tiled_conv2d_strided_with(
-                        rows,
-                        &half,
-                        tile,
-                        TilingMode::Exact,
-                        stride,
-                        |s, k| {
-                            local_passes += 1;
-                            let out = match worker_faults.as_mut() {
-                                Some(fi) => jtc.correlate_with_faults(s, k, fi),
-                                None => jtc.correlate(s, k),
-                            }
-                            .expect("scheduled operands are non-empty and non-negative");
-                            out.valid().to_vec()
-                        },
-                    )?;
-                    for (ar, pr) in acc.iter_mut().zip(&partial) {
-                        for (a, p) in ar.iter_mut().zip(pr) {
-                            *a += p;
-                        }
-                    }
-                }
-            }
-            Ok((recombine(&pos, &neg)?, local_passes))
-        })
+        per_pass_channels(jtc, layer, faults, epoch)
     };
 
     let mut out = Tensor3::zeros(out_channels, out_h, out_w);
@@ -577,6 +429,59 @@ fn run_layer(
         }
     }
     Ok((out, total_passes))
+}
+
+/// Every output channel of `layer`, pass by pass through
+/// [`Jtc::correlate_with_faults`] / [`Jtc::correlate`], whose converters
+/// act on one pass at a time. Output channel `o` walks its injector
+/// derived for (`epoch`, `o`) in (input channel, half, pass) order. Each
+/// (o, i, half) sums its passes into a zeroed partial before the partial
+/// joins the half's accumulator, so every output takes its additions in
+/// one fixed order.
+fn per_pass_channels(
+    jtc: &Jtc,
+    layer: &Layer,
+    faults: Option<&FaultInjector>,
+    epoch: u64,
+) -> Vec<Result<(Vec<f64>, u64), FunctionalError>> {
+    let schedule = &layer.schedule;
+    let passes = schedule.passes();
+    let (out_h, out_w) = schedule.output_hw();
+    let local_passes = (layer.in_channels() * 2 * passes.len()) as u64;
+    let channels: Vec<usize> = (0..layer.out_channels()).collect();
+    refocus_par::par_map(&channels, |&o| {
+        // One span per output-channel worker: this is the unit the
+        // row-tiling fan-out distributes over pool threads.
+        let _chan = refocus_obs::span_with("conv2d.channel", || format!("oc={o}"));
+        let mut worker_faults = faults.map(|f| f.for_work_item(epoch, o as u64));
+        let mut acc = [0, 1].map(|_| vec![vec![0.0; out_w]; out_h]);
+        let mut partial = vec![vec![0.0; out_w]; out_h];
+        for (i, rows) in layer.channel_rows.iter().enumerate() {
+            let signals: Vec<Vec<f64>> = passes.iter().map(|p| schedule.signal(rows, p)).collect();
+            for (half, acc) in acc.iter_mut().enumerate() {
+                let kernels: Vec<Vec<f64>> = (0..layer.slot_pass.len())
+                    .map(|slot| layer.kernel(o, i, half, slot))
+                    .collect();
+                partial.iter_mut().for_each(|row| row.fill(0.0));
+                for ((pass, signal), &slot) in passes.iter().zip(&signals).zip(&layer.kernel_slot) {
+                    let kernel = &kernels[slot];
+                    let out = match worker_faults.as_mut() {
+                        Some(fi) => jtc.correlate_with_faults(signal, kernel, fi),
+                        None => jtc.correlate(signal, kernel),
+                    }
+                    .expect("scheduled operands are non-empty and non-negative");
+                    schedule.scatter(pass, out.valid(), &mut partial);
+                }
+                for (ar, pr) in acc.iter_mut().zip(&partial) {
+                    for (a, p) in ar.iter_mut().zip(pr) {
+                        *a += p;
+                    }
+                }
+            }
+        }
+        let [pos, neg] = &acc;
+        Ok((recombine(pos, neg)?, local_passes))
+    })
 }
 
 /// The clean lens-1 light of one layer, computed once and shared by every
@@ -1035,6 +940,7 @@ fn recombine(pos: &[Vec<f64>], neg: &[Vec<f64>]) -> Result<Vec<f64>, FunctionalE
 mod tests {
     use super::*;
     use refocus_nn::conv::conv2d;
+    use refocus_nn::tiling::tiled_conv2d_strided_with;
 
     fn max_diff(a: &Tensor3, b: &Tensor3) -> f64 {
         a.data()
@@ -1087,29 +993,6 @@ mod tests {
         let peak = digital.data().iter().fold(0.0f64, |m, v| m.max(v.abs()));
         // 8-bit converters on every pass: a few percent of peak.
         assert!(max_diff(&optical, &digital) < 0.12 * peak);
-    }
-
-    #[test]
-    fn feedback_reuse_with_rescaling_matches() {
-        let exec = OpticalExecutor::ideal();
-        let input = Tensor3::random(2, 6, 6, 0.0, 1.0, 7);
-        // 6 filters over an R=3 buffer: iterations 0..3 wrap.
-        let weights = Tensor4::random(6, 2, 3, 3, -1.0, 1.0, 8);
-        let buffer = FeedbackBuffer::with_optimal_split(
-            3,
-            4,
-            refocus_photonics::units::GigaHertz::new(10.0),
-        )
-        .expect("R=3 split fits the buffer");
-        let reused = exec
-            .conv2d_with_feedback_reuse(&input, &weights, 1, 1, &buffer)
-            .expect("feedback-reuse conv runs");
-        let digital = conv2d(&input, &weights, 1, 1).expect("digital reference runs");
-        assert!(
-            max_diff(&reused, &digital) < 1e-7,
-            "diff = {}",
-            max_diff(&reused, &digital)
-        );
     }
 
     /// The per-pass reference: every (o, i, half) convolution through the
@@ -1200,9 +1083,12 @@ mod tests {
         }
     }
 
-    /// The faulted per-pass reference: each output channel's injector
+    /// The faulted per-pass reference: every (o, i, half) convolution
+    /// through the public strided tiling, each output channel's injector
     /// derived for `epoch` and walked pass by pass, in (i, half, pass)
-    /// order, through [`Jtc::correlate_with_faults`].
+    /// order, through [`Jtc::correlate_with_faults`] ([`Jtc::correlate`]
+    /// without one). Each half sums its (o, i) partials on its own before
+    /// the two are subtracted, as the executor sums them.
     #[allow(clippy::too_many_arguments)]
     fn faulted_per_pass_oracle(
         jtc: &Jtc,
@@ -1211,19 +1097,19 @@ mod tests {
         weights: &Tensor4,
         stride: usize,
         padding: usize,
-        injector: &FaultInjector,
+        injector: Option<&FaultInjector>,
         epoch: u64,
     ) -> Tensor3 {
         let split = PseudoNegativeSplit::of(weights);
         let padded = input.pad_spatial(padding);
         let mut out: Option<Tensor3> = None;
         for o in 0..weights.out_channels() {
-            let mut worker = injector.for_work_item(epoch, o as u64);
-            let mut acc: Vec<Vec<f64>> = Vec::new();
+            let mut worker = injector.map(|f| f.for_work_item(epoch, o as u64));
+            let mut acc: [Vec<Vec<f64>>; 2] = Default::default();
             for i in 0..input.channels() {
                 let rows: Vec<Vec<f64>> =
                     padded.channel_rows(i).iter().map(|r| r.to_vec()).collect();
-                for (sign, half) in [(1.0, &split.positive), (-1.0, &split.negative)] {
+                for (acc, half) in acc.iter_mut().zip([&split.positive, &split.negative]) {
                     let partial = tiled_conv2d_strided_with(
                         &rows,
                         &half.kernel(o, i),
@@ -1231,39 +1117,46 @@ mod tests {
                         TilingMode::Exact,
                         stride,
                         |s, k| {
-                            jtc.correlate_with_faults(s, k, &mut worker)
-                                .unwrap()
-                                .valid()
-                                .to_vec()
+                            match worker.as_mut() {
+                                Some(fi) => jtc.correlate_with_faults(s, k, fi),
+                                None => jtc.correlate(s, k),
+                            }
+                            .unwrap()
+                            .valid()
+                            .to_vec()
                         },
                     )
                     .unwrap();
                     if acc.is_empty() {
-                        acc = vec![vec![0.0; partial[0].len()]; partial.len()];
+                        *acc = vec![vec![0.0; partial[0].len()]; partial.len()];
                     }
                     for (ar, pr) in acc.iter_mut().zip(&partial) {
                         for (a, p) in ar.iter_mut().zip(pr) {
-                            *a += sign * p;
+                            *a += p;
                         }
                     }
                 }
             }
+            let [pos, neg] = &acc;
             let out = out.get_or_insert_with(|| {
-                Tensor3::zeros(weights.out_channels(), acc.len(), acc[0].len())
+                Tensor3::zeros(weights.out_channels(), pos.len(), pos[0].len())
             });
-            for (oy, row) in acc.iter().enumerate() {
-                for (ox, &v) in row.iter().enumerate() {
-                    out.set(o, oy, ox, v);
+            for (oy, (p, n)) in pos.iter().zip(neg).enumerate() {
+                for (ox, (a, b)) in p.iter().zip(n).enumerate() {
+                    out.set(o, oy, ox, a - b);
                 }
             }
         }
         out.unwrap()
     }
 
+    /// Faulted layers against the per-pass oracle: within rounding on the
+    /// ideal JTC's spectral path, and bit for bit on the quantized JTC,
+    /// which runs the oracle's passes in the oracle's order, with and
+    /// without an injector.
     #[test]
     fn faulted_spectral_path_matches_per_pass_oracle() {
         use refocus_photonics::faults::FaultSpec;
-        let jtc = Jtc::ideal();
         // (what, tile, C_in, C_out, h, w, k, stride, padding)
         let cases = [
             ("one pass", 256, 2, 2, 8, 8, 3, 1, 1),
@@ -1300,28 +1193,48 @@ mod tests {
                 tile,
                 ..AcceleratorConfig::refocus_ff()
             };
-            for (faults, spec) in specs {
-                for seed in [1, 2, 3] {
-                    let injector = FaultInjector::new(spec, seed);
-                    let exec =
-                        OpticalExecutor::new(&config, jtc.clone()).with_faults(injector.clone());
-                    let got = exec.conv2d(&input, &weights, stride, padding).unwrap();
+            let bits = |t: &Tensor3| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for jtc in [Jtc::ideal(), Jtc::quantized()] {
+                let clean = OpticalExecutor::new(&config, jtc.clone())
+                    .conv2d(&input, &weights, stride, padding)
+                    .unwrap();
+                if jtc.has_converters() {
                     let want = faulted_per_pass_oracle(
-                        &jtc, tile, &input, &weights, stride, padding, &injector, 0,
+                        &jtc, tile, &input, &weights, stride, padding, None, 0,
                     );
-                    assert_eq!(got.shape(), want.shape(), "{what}, {faults}");
-                    let peak = want.max_abs();
-                    assert!(
-                        max_diff(&got, &want) <= 1e-9 * peak,
-                        "{what}, {faults}, seed {seed}: diff {} vs peak {peak}",
-                        max_diff(&got, &want)
-                    );
-                    // The faults moved the output: the comparison is not
-                    // between two clean layers.
-                    let clean = OpticalExecutor::new(&config, jtc.clone())
-                        .conv2d(&input, &weights, stride, padding)
-                        .unwrap();
-                    assert!(max_diff(&got, &clean) > 1e-9 * peak, "{what}, {faults}");
+                    assert_eq!(bits(&clean), bits(&want), "{what}, no injector");
+                }
+                for (faults, spec) in specs {
+                    for seed in [1, 2, 3] {
+                        let injector = FaultInjector::new(spec, seed);
+                        let exec = OpticalExecutor::new(&config, jtc.clone())
+                            .with_faults(injector.clone());
+                        let got = exec.conv2d(&input, &weights, stride, padding).unwrap();
+                        let want = faulted_per_pass_oracle(
+                            &jtc,
+                            tile,
+                            &input,
+                            &weights,
+                            stride,
+                            padding,
+                            Some(&injector),
+                            0,
+                        );
+                        assert_eq!(got.shape(), want.shape(), "{what}, {faults}");
+                        let peak = want.max_abs();
+                        if jtc.has_converters() {
+                            assert_eq!(bits(&got), bits(&want), "{what}, {faults}, seed {seed}");
+                        } else {
+                            assert!(
+                                max_diff(&got, &want) <= 1e-9 * peak,
+                                "{what}, {faults}, seed {seed}: diff {} vs peak {peak}",
+                                max_diff(&got, &want)
+                            );
+                        }
+                        // The faults moved the output: the comparison is
+                        // not between two clean layers.
+                        assert!(max_diff(&got, &clean) > 1e-9 * peak, "{what}, {faults}");
+                    }
                 }
             }
         }
@@ -1507,32 +1420,32 @@ mod tests {
     }
 
     #[test]
-    fn diverging_noise_trips_the_jtc_output_guard() {
-        use refocus_photonics::faults::{FaultInjector, FaultSpec};
-        use refocus_photonics::noise::NoiseModel;
-        // A pathological noise model overflows detected outputs to ±∞;
-        // the firewall must surface that as a typed error instead of
-        // letting infinities (or the NaNs born of ∞ − ∞ recombination)
-        // reach the caller as output data.
-        let noise = NoiseModel::new(9).with_relative_sigma(f64::MAX);
-        let exec = OpticalExecutor::ideal()
-            .with_faults(FaultInjector::new(FaultSpec::none(), 1).with_noise(noise));
+    fn diverging_weights_trip_the_jtc_output_guard() {
+        // Weights of 1e100 drive the detected outputs some 88 orders of
+        // magnitude past `guard::MAX_MAGNITUDE`: the firewall must surface
+        // that as a typed error on the spectral and the per-pass path
+        // instead of handing the caller a diverged layer as output data.
+        // (Weights that overflow to ∞ do not serve: the detector clips
+        // the NaNs of ∞ − ∞ to zero, see `jtc::detect`.)
         let input = Tensor3::random(1, 6, 6, 0.0, 1.0, 22);
-        let weights = Tensor4::random(1, 1, 3, 3, -1.0, 1.0, 23);
-        let err = exec
-            .conv2d(&input, &weights, 1, 0)
-            .expect_err("divergent optics must be caught");
-        assert!(
-            matches!(
-                err,
-                FunctionalError::NonFinite {
-                    stage: "jtc-output",
-                    ..
-                }
-            ),
-            "got {err:?}"
-        );
-        assert!(err.to_string().contains("jtc-output"));
+        let mut weights = Tensor4::random(1, 1, 3, 3, -1.0, 1.0, 23);
+        weights.map_inplace(|w| w * 1e100);
+        for exec in [OpticalExecutor::ideal(), OpticalExecutor::quantized()] {
+            let err = exec
+                .conv2d(&input, &weights, 1, 0)
+                .expect_err("divergent optics must be caught");
+            assert!(
+                matches!(
+                    err,
+                    FunctionalError::NonFinite {
+                        stage: "jtc-output",
+                        ..
+                    }
+                ),
+                "got {err:?}"
+            );
+            assert!(err.to_string().contains("jtc-output"));
+        }
     }
 
     #[test]

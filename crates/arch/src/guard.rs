@@ -84,16 +84,6 @@ pub fn check_finite(stage: &'static str, values: &[f64]) -> Result<(), GuardViol
     Ok(())
 }
 
-/// Checks a single scalar crossing a boundary (metric outputs, geomeans).
-///
-/// # Errors
-///
-/// Returns [`GuardViolation`] with index 0 if `value` is non-finite or
-/// out of bounds.
-pub fn check_scalar(stage: &'static str, value: f64) -> Result<(), GuardViolation> {
-    check_finite(stage, std::slice::from_ref(&value))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,7 +92,7 @@ mod tests {
     fn clean_buffers_pass() {
         let v = [0.0, 1.5, -3.0e9, f64::MIN_POSITIVE];
         assert_eq!(check_finite("jtc-output", &v), Ok(()));
-        assert_eq!(check_scalar("metrics", 42.0), Ok(()));
+        assert_eq!(check_finite("metrics", &[42.0]), Ok(()));
         assert_eq!(check_finite("jtc-output", &[]), Ok(()));
     }
 
@@ -122,7 +112,7 @@ mod tests {
             assert_eq!(err.index, 1);
         }
         // The boundary itself is allowed.
-        assert_eq!(check_scalar("metrics", MAX_MAGNITUDE), Ok(()));
+        assert_eq!(check_finite("metrics", &[MAX_MAGNITUDE]), Ok(()));
     }
 
     #[test]

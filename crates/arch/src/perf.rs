@@ -18,7 +18,7 @@
 use crate::config::AcceleratorConfig;
 use refocus_nn::layer::ConvSpec;
 use refocus_nn::quant::PSEUDO_NEGATIVE_LATENCY_FACTOR;
-use refocus_nn::tiling::{TilingError, TilingPlan};
+use refocus_nn::tiling::{TilingError, TilingPlan, MAX_ACTIVE_WEIGHT_TAPS};
 use refocus_photonics::units::Seconds;
 use serde::{Deserialize, Serialize};
 
@@ -102,7 +102,7 @@ impl LayerPerf {
             input_uses,
             effective_ta,
             input_duty: plan.input_conversions_per_pass as f64 / config.tile as f64,
-            weight_duty: plan.weight_conversions_per_pass as f64 / config.weight_waveguides as f64,
+            weight_duty: plan.weight_conversions_per_pass as f64 / MAX_ACTIVE_WEIGHT_TAPS as f64,
             valid_output_fraction: (valid_elems as f64 / config.tile as f64).min(1.0),
             weight_load_fraction,
             images: batch,

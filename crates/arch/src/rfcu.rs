@@ -17,6 +17,7 @@
 //! laser wavelengths.
 
 use crate::config::{AcceleratorConfig, OpticalBufferKind};
+use refocus_nn::tiling::MAX_ACTIVE_WEIGHT_TAPS;
 use serde::{Deserialize, Serialize};
 
 /// Concrete component counts for a configured system.
@@ -66,7 +67,7 @@ impl ComponentCounts {
             .unwrap_or_else(|e| panic!("invalid configuration: {e}"));
         let t = config.tile;
         let n = config.rfcus;
-        let w = config.weight_waveguides;
+        let w = MAX_ACTIVE_WEIGHT_TAPS;
         let nl = config.wavelengths;
 
         let has_buffer = config.optical_buffer != OpticalBufferKind::None;

@@ -39,13 +39,6 @@ impl Dram {
         }
     }
 
-    /// Creates an HBM3-class interface.
-    pub fn hbm3() -> Self {
-        Self {
-            energy_per_byte: Self::HBM3_ENERGY_PER_BYTE,
-        }
-    }
-
     /// Per-byte access energy.
     pub fn energy_per_byte(&self) -> PicoJoules {
         self.energy_per_byte
@@ -81,7 +74,7 @@ mod tests {
     #[test]
     fn hbm3_halves_energy() {
         assert!(
-            (Dram::hbm3().energy_per_byte().value() * 2.0 - Dram::hbm2().energy_per_byte().value())
+            (Dram::HBM3_ENERGY_PER_BYTE.value() * 2.0 - Dram::hbm2().energy_per_byte().value())
                 .abs()
                 < 1e-12
         );

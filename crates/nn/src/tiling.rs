@@ -25,10 +25,9 @@
 //! the passes that compute a layer's kept (strided) output rows, and
 //! [`tiled_conv2d_strided_with`] runs them: the *functional* view,
 //! validated against direct 2-D convolution and able to route each 1-D
-//! pass through the real optical JTC model. [`tiled_conv2d_with`] and
-//! [`tiled_conv2d_valid`] are its stride-1 forms.
+//! pass through the real optical JTC model. [`tiled_conv2d_with`] is its
+//! stride-1 form.
 
-use refocus_photonics::signal::correlate_valid;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
@@ -205,11 +204,6 @@ impl TilingPlan {
     pub fn total_conversions(&self) -> u64 {
         self.passes as u64
             * (self.input_conversions_per_pass + self.weight_conversions_per_pass) as u64
-    }
-
-    /// Waveguide utilization: fraction of the tile carrying data rows.
-    pub fn utilization(&self, tile: usize) -> f64 {
-        (self.rows_per_pass * self.row_len) as f64 / tile as f64
     }
 }
 
@@ -488,26 +482,13 @@ where
     tiled_conv2d_strided_with(input, kernel, tile, mode, 1, correlate_1d)
 }
 
-/// [`tiled_conv2d_with`] using the digital reference 1-D correlation.
-///
-/// # Errors
-///
-/// Returns [`TilingError`] on shape problems.
-pub fn tiled_conv2d_valid(
-    input: &[Vec<f64>],
-    kernel: &[Vec<f64>],
-    tile: usize,
-    mode: TilingMode,
-) -> Result<Vec<Vec<f64>>, TilingError> {
-    tiled_conv2d_with(input, kernel, tile, mode, correlate_valid)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conv::conv2d_valid_single;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+    use refocus_photonics::signal::correlate_valid;
 
     fn random_matrix(h: usize, w: usize, seed: u64) -> Vec<Vec<f64>> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -627,7 +608,8 @@ mod tests {
             let input = random_matrix(h, w, seed);
             let kernel = random_matrix(k, k, seed + 50);
             let want = conv2d_valid_single(&input, &kernel);
-            let got = tiled_conv2d_valid(&input, &kernel, tile, TilingMode::Exact).unwrap();
+            let got = tiled_conv2d_with(&input, &kernel, tile, TilingMode::Exact, correlate_valid)
+                .unwrap();
             assert_matrix_close(&got, &want, 1e-9);
         }
     }
@@ -639,7 +621,14 @@ mod tests {
         let input = random_matrix(16, 16, 9);
         let kernel = random_matrix(3, 3, 10);
         let want = conv2d_valid_single(&input, &kernel);
-        let got = tiled_conv2d_valid(&input, &kernel, 128, TilingMode::Approximate).unwrap();
+        let got = tiled_conv2d_with(
+            &input,
+            &kernel,
+            128,
+            TilingMode::Approximate,
+            correlate_valid,
+        )
+        .unwrap();
         assert_matrix_close(&got, &want, 1e-9);
     }
 
@@ -650,7 +639,8 @@ mod tests {
         let kernel = random_matrix(5, 5, 12);
         let want = conv2d_valid_single(&input, &kernel);
         // Row len exact = 24; tile 50 holds 2 rows < k=5.
-        let got = tiled_conv2d_valid(&input, &kernel, 50, TilingMode::Exact).unwrap();
+        let got =
+            tiled_conv2d_with(&input, &kernel, 50, TilingMode::Exact, correlate_valid).unwrap();
         assert_matrix_close(&got, &want, 1e-9);
     }
 
@@ -660,7 +650,8 @@ mod tests {
         let kernel = random_matrix(3, 3, 14);
         let want = conv2d_valid_single(&input, &kernel);
         // Tile of 12 holds exactly one exact row (12).
-        let got = tiled_conv2d_valid(&input, &kernel, 12, TilingMode::Exact).unwrap();
+        let got =
+            tiled_conv2d_with(&input, &kernel, 12, TilingMode::Exact, correlate_valid).unwrap();
         assert_matrix_close(&got, &want, 1e-9);
     }
 
@@ -721,7 +712,8 @@ mod tests {
         // so skipping the others changes nothing that is kept.
         let input = random_matrix(21, 20, 25);
         let kernel = random_matrix(5, 5, 26);
-        let full = tiled_conv2d_valid(&input, &kernel, 50, TilingMode::Exact).unwrap();
+        let full =
+            tiled_conv2d_with(&input, &kernel, 50, TilingMode::Exact, correlate_valid).unwrap();
         let strided =
             tiled_conv2d_strided_with(&input, &kernel, 50, TilingMode::Exact, 2, correlate_valid)
                 .unwrap();
@@ -756,29 +748,27 @@ mod tests {
         let input = random_matrix(4, 4, 1);
         let kernel = random_matrix(5, 5, 2);
         assert_eq!(
-            tiled_conv2d_valid(&input, &kernel, 64, TilingMode::Exact),
+            tiled_conv2d_with(&input, &kernel, 64, TilingMode::Exact, correlate_valid),
             Err(TilingError::KernelTooLarge)
         );
         assert!(matches!(
-            tiled_conv2d_valid(&input, &random_matrix(2, 2, 3), 4, TilingMode::Exact),
+            tiled_conv2d_with(
+                &input,
+                &random_matrix(2, 2, 3),
+                4,
+                TilingMode::Exact,
+                correlate_valid
+            ),
             Err(TilingError::RowTooWide { .. })
         ));
         assert!(matches!(
-            tiled_conv2d_valid(&[], &kernel, 64, TilingMode::Exact),
+            tiled_conv2d_with(&[], &kernel, 64, TilingMode::Exact, correlate_valid),
             Err(TilingError::BadOperand(_))
         ));
         assert_eq!(
             tiled_conv2d_strided_with(&input, &input, 64, TilingMode::Exact, 0, correlate_valid),
             Err(TilingError::BadOperand("zero stride"))
         );
-    }
-
-    #[test]
-    fn utilization_larger_for_approximate() {
-        let e = TilingPlan::plan((32, 32), 3, 1, 1, 256, TilingMode::Exact).unwrap();
-        let a = TilingPlan::plan((32, 32), 3, 1, 1, 256, TilingMode::Approximate).unwrap();
-        assert!(a.utilization(256) >= e.utilization(256));
-        assert!(a.utilization(256) <= 1.0);
     }
 
     #[test]

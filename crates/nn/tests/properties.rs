@@ -5,7 +5,8 @@ use refocus_nn::conv::{conv2d, conv2d_valid_single, conv_output_size};
 use refocus_nn::quant::{PseudoNegativeSplit, Quantizer};
 use refocus_nn::reorder::{anneal_channel_order, dac_loads, AnnealingSchedule};
 use refocus_nn::tensor::{Tensor3, Tensor4};
-use refocus_nn::tiling::{tiled_conv2d_valid, TilingMode, TilingPlan};
+use refocus_nn::tiling::{tiled_conv2d_with, TilingMode, TilingPlan};
+use refocus_photonics::signal::correlate_valid;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -31,7 +32,7 @@ proptest! {
         // Tile anywhere from "one padded row" to "several rows".
         let tile = (w + k - 1) * tile_factor;
         for mode in [TilingMode::Exact, TilingMode::Approximate] {
-            let got = tiled_conv2d_valid(&input, &kernel, tile, mode).unwrap();
+            let got = tiled_conv2d_with(&input, &kernel, tile, mode, correlate_valid).unwrap();
             prop_assert_eq!(got.len(), want.len());
             for (ra, rb) in got.iter().zip(&want) {
                 for (a, b) in ra.iter().zip(rb) {

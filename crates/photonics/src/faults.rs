@@ -21,8 +21,11 @@
 //!   continuous perturbations scale linearly; output error therefore
 //!   grows monotonically with severity — the property the fault
 //!   campaign asserts.
-//! * **Composability** — an injector can carry a [`NoiseModel`], so
-//!   analog noise and structural faults are applied in one pass.
+//! * **Composability** — every fault is fixed per kernel operand (stuck
+//!   taps), a scale of one pass's field (drift) or linear in the readout
+//!   (dead pixels), so a layer can apply them to light that many passes
+//!   share. Analog noise is not an injector's: [`crate::noise`] models it
+//!   on its own.
 //!
 //! # Examples
 //!
@@ -45,7 +48,6 @@
 //!     .all(|(f, c)| *f == 0.0 || (f - c).abs() < 1e-12));
 //! ```
 
-use crate::noise::NoiseModel;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -232,22 +234,21 @@ const SALT_DRIFT: u64 = 0x4452_4946_5421;
 /// Seeded applicator of a [`FaultSpec`] to the functional datapath.
 ///
 /// Stateful only in its *pass counter* (which drives the laser drift
-/// random walk) and the optional composed [`NoiseModel`]; all fault
-/// site decisions are pure functions of `(seed, site)`.
+/// random walk); all fault site decisions are pure functions of
+/// `(seed, site)`.
 ///
 /// # Parallel execution and work-item streams
 ///
 /// Fault *sites* (stuck taps, dead pixels) are pure functions of
 /// `(seed, site index)`, so they are identical no matter which thread
-/// evaluates them. The *sequential* state — the drift
-/// walk and composed noise stream — is order-dependent, so parallel
-/// fan-outs must not share one injector. Instead, the owning executor
-/// calls [`FaultInjector::reserve_epochs`] once per fan-out and derives
-/// one child per work item with [`FaultInjector::for_work_item`]. The
-/// child keeps the parent's seed (same fault sites) but walks an
-/// independent drift/noise stream determined purely by
-/// `(seed, epoch, item)` — never by scheduling order — so serial and
-/// parallel execution produce bit-identical results.
+/// evaluates them. The *sequential* state — the drift walk — is
+/// order-dependent, so parallel fan-outs must not share one injector.
+/// Instead, the owning executor calls [`FaultInjector::reserve_epochs`]
+/// once per fan-out and derives one child per work item with
+/// [`FaultInjector::for_work_item`]. The child keeps the parent's seed
+/// (same fault sites) but walks an independent drift stream determined
+/// purely by `(seed, epoch, item)` — never by scheduling order — so
+/// serial and parallel execution produce bit-identical results.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FaultInjector {
     spec: FaultSpec,
@@ -256,8 +257,6 @@ pub struct FaultInjector {
     passes: u64,
     /// Cumulative relative laser drift, clamped to ±`laser_drift_limit`.
     drift: f64,
-    /// Optional composed analog noise, applied after structural faults.
-    noise: Option<NoiseModel>,
     /// Stream discriminator mixed into the drift salt. Zero on every
     /// directly-constructed injector (preserving the original drift
     /// sequence); nonzero on [`FaultInjector::for_work_item`] children.
@@ -286,17 +285,9 @@ impl FaultInjector {
             seed,
             passes: 0,
             drift: 0.0,
-            noise: None,
             stream: 0,
             epochs: 0,
         }
-    }
-
-    /// Composes a seeded analog [`NoiseModel`], applied to detected
-    /// outputs after the structural faults.
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.noise = Some(noise);
-        self
     }
 
     /// The fault specification being applied.
@@ -315,14 +306,11 @@ impl FaultInjector {
     }
 
     /// Rewinds all stream state (drift walk, pass counter, reserved
-    /// epochs, composed noise) so the exact fault sequence replays.
+    /// epochs) so the exact fault sequence replays.
     pub fn reset(&mut self) {
         self.passes = 0;
         self.drift = 0.0;
         self.epochs = 0;
-        if let Some(noise) = &mut self.noise {
-            noise.reset();
-        }
     }
 
     /// Reserves `count` fan-out epochs and returns the first reserved
@@ -346,7 +334,7 @@ impl FaultInjector {
     /// as if `count` epochs had already been reserved.
     ///
     /// Retry logic uses this to give attempt *k* of a failed work item
-    /// fault/noise streams disjoint from attempts `0..k`: rebuilding the
+    /// drift streams disjoint from attempts `0..k`: rebuilding the
     /// injector with `k` burned epochs shifts every subsequent
     /// [`FaultInjector::reserve_epochs`] call, deterministically in `k`
     /// and independent of thread count or wall-clock ordering.
@@ -359,7 +347,7 @@ impl FaultInjector {
     ///
     /// The child shares `spec` and `seed` — so stuck-tap and dead-pixel
     /// *sites* are identical to the parent's — but walks its own drift
-    /// and noise streams, derived purely from `(seed, epoch, item)`. Distinct `(epoch, item)` pairs get
+    /// stream, derived purely from `(seed, epoch, item)`. Distinct `(epoch, item)` pairs get
     /// decorrelated streams; the same pair always gets the same stream.
     pub fn for_work_item(&self, epoch: u64, item: u64) -> FaultInjector {
         // splitmix64-style avalanche of (epoch, item) into a stream id.
@@ -377,22 +365,14 @@ impl FaultInjector {
             seed: self.seed,
             passes: 0,
             drift: 0.0,
-            noise: self.noise.as_ref().map(|n| n.split_indexed(z)),
             stream: z,
             epochs: 0,
         }
     }
 
-    /// True if neither structural faults nor analog noise are active.
+    /// True if no structural fault is active.
     pub fn is_transparent(&self) -> bool {
-        self.spec.is_fault_free() && !self.has_noise()
-    }
-
-    /// True if a composed [`NoiseModel`] perturbs detected outputs. Noise
-    /// draws from a sequential stream over every detected sample of every
-    /// pass, so a noisy pass cannot share its readout with other passes.
-    pub fn has_noise(&self) -> bool {
-        self.noise.as_ref().is_some_and(|n| !n.is_noiseless())
+        self.spec.is_fault_free()
     }
 
     /// Whether weight-bank tap `index` is stuck.
@@ -448,16 +428,6 @@ impl FaultInjector {
         let limit = self.spec.laser_drift_limit;
         self.drift = (self.drift + step).clamp(-limit, limit);
         1.0 + self.drift
-    }
-
-    /// Applies the composed analog noise (if any) to a detected output
-    /// in place.
-    pub fn apply_noise(&mut self, detected: &mut [f64]) {
-        if let Some(noise) = &mut self.noise {
-            for v in detected.iter_mut() {
-                *v = noise.perturb(*v);
-            }
-        }
     }
 }
 
@@ -672,33 +642,10 @@ mod tests {
     }
 
     #[test]
-    fn work_item_noise_streams_are_independent() {
-        let noise = NoiseModel::new(5).with_relative_sigma(0.1);
-        let parent = FaultInjector::new(FaultSpec::none(), 3).with_noise(noise);
-        let mut a = parent.for_work_item(0, 0);
-        let mut b = parent.for_work_item(0, 1);
-        let mut a2 = parent.for_work_item(0, 0);
-        let sig = vec![1.0; 8];
-        let mut va = sig.clone();
-        let mut vb = sig.clone();
-        let mut va2 = sig.clone();
-        a.apply_noise(&mut va);
-        b.apply_noise(&mut vb);
-        a2.apply_noise(&mut va2);
-        assert_ne!(va, vb, "items must see independent noise");
-        assert_eq!(va, va2, "same item must replay the same noise");
-    }
-
-    #[test]
     fn transparent_injector_detected() {
         let inj = FaultInjector::new(FaultSpec::none(), 0);
         assert!(inj.is_transparent());
         let inj = FaultInjector::new(FaultSpec::none().with_dead_pixel_rate(0.01), 0);
         assert!(!inj.is_transparent());
-        assert!(!inj.has_noise());
-        let quiet = inj.clone().with_noise(NoiseModel::new(1));
-        assert!(!quiet.has_noise());
-        let noisy = quiet.with_noise(NoiseModel::new(1).with_relative_sigma(0.01));
-        assert!(noisy.has_noise() && !noisy.is_transparent());
     }
 }

@@ -293,15 +293,15 @@ impl Jtc {
     /// Applies, in physical order: stuck MRR weight-bank taps to the
     /// kernel, the laser power drift factor for this pass to both
     /// correlands (the bilinear output therefore moves by the factor
-    /// squared), the regular optical pipeline, dead-photodetector-pixel
-    /// masking of the detected lags, and finally the injector's
-    /// composed analog [`NoiseModel`](crate::noise::NoiseModel) if any.
-    /// With a transparent injector this is exactly [`Jtc::correlate`].
+    /// squared), the regular optical pipeline, and dead-photodetector-pixel
+    /// masking of the detected lags. With a transparent injector this is
+    /// exactly [`Jtc::correlate`].
     ///
-    /// This is the per-pass reference. Without noise, every fault here is
-    /// fixed per kernel operand (stuck taps), a scale of the whole field
-    /// (drift) or linear in the readout (dead pixels), so a layer can run
-    /// it on shared spectra and detector sums instead ([`DetectorSum`]).
+    /// This is the per-pass reference. Every fault here is fixed per
+    /// kernel operand (stuck taps), a scale of the whole field (drift) or
+    /// linear in the readout (dead pixels), so a layer without converters
+    /// can run it on shared spectra and detector sums instead
+    /// ([`DetectorSum`]).
     ///
     /// # Errors
     ///
@@ -324,7 +324,6 @@ impl Jtc {
         }
         let mut out = self.correlate(&signal, &kernel)?;
         injector.mask_dead_pixels(0, &mut out.full);
-        injector.apply_noise(&mut out.full);
         Ok(out)
     }
 

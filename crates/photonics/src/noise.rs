@@ -44,8 +44,8 @@ impl Clone for NoiseModel {
     /// original drew from its own start — two clones perturbing two
     /// signals apply perfectly correlated noise, which silently understates
     /// (or overstates) the combined error. When you need a second,
-    /// statistically independent stream, use [`NoiseModel::split`] instead
-    /// of `clone`.
+    /// statistically independent stream, build a model with another seed
+    /// instead of cloning.
     fn clone(&self) -> Self {
         Self {
             seed: self.seed,
@@ -130,57 +130,6 @@ impl NoiseModel {
     pub fn reset(&mut self) {
         self.rng = Some(StdRng::seed_from_u64(self.seed));
     }
-
-    /// The seed this model's stream derives from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Derives a new model with the same noise parameters but an
-    /// *independent* seeded stream, deterministically from this model's
-    /// seed.
-    ///
-    /// Unlike [`Clone::clone`] — which replays the parent's exact noise
-    /// sequence and therefore produces *correlated* noise across uses —
-    /// `split` mixes the seed through an avalanche hash, so parent and
-    /// child streams are statistically independent while the pair is
-    /// still fully reproducible from the parent seed. Repeated splits
-    /// chain: `m.split().split()` differs from both `m` and `m.split()`.
-    ///
-    /// Use `split` when fanning one configured model out to several
-    /// consumers (e.g. per-layer or per-tile noise) that must not see
-    /// identical perturbations.
-    pub fn split(&self) -> NoiseModel {
-        self.split_indexed(0)
-    }
-
-    /// Derives the `index`-th of a family of independent child streams.
-    ///
-    /// `split_indexed(0)` is exactly [`NoiseModel::split`]; distinct
-    /// indices yield distinct, decorrelated child seeds. This is the
-    /// primitive parallel fan-outs use: work item `i` takes
-    /// `split_indexed(i)` so every item sees its own stream *regardless
-    /// of execution order* — the derivation is a pure function of
-    /// `(parent seed, index)`, never of which worker ran first.
-    pub fn split_indexed(&self, index: u64) -> NoiseModel {
-        // splitmix64 finalizer: full-avalanche mixing of the parent seed,
-        // with an odd offset so split(seed) != seed even at fixed points.
-        // The index enters pre-mix through an odd multiplier so adjacent
-        // indices land far apart after the avalanche.
-        let mut z = self
-            .seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(index.wrapping_mul(0xD1B5_4A32_D192_ED03));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        Self {
-            seed: z,
-            rng: None,
-            relative_sigma: self.relative_sigma,
-            additive_sigma: self.additive_sigma,
-        }
-    }
 }
 
 /// Signal-to-noise ratio in dB between a clean and noisy realization.
@@ -258,40 +207,6 @@ mod tests {
         let mut clone = parent.clone();
         // The documented (and footgun-prone) behavior: identical draws.
         assert_eq!(parent.perturb(1.0), clone.perturb(1.0));
-    }
-
-    #[test]
-    fn split_streams_are_independent_and_deterministic() {
-        let mut parent = NoiseModel::new(13).with_relative_sigma(0.1);
-        let mut child = parent.split();
-        let mut child2 = parent.split();
-        assert!(!child.is_noiseless(), "split must keep noise parameters");
-        // Deterministic: same parent ⇒ same child stream.
-        assert_eq!(child.perturb(1.0), child2.perturb(1.0));
-        // Independent: child draws differ from the parent's.
-        parent.reset();
-        child.reset();
-        let p: Vec<f64> = (0..8).map(|_| parent.perturb(1.0)).collect();
-        let c: Vec<f64> = (0..8).map(|_| child.perturb(1.0)).collect();
-        assert_ne!(p, c);
-        // Chained splits keep diverging.
-        let grandchild = child.split();
-        assert_ne!(grandchild.seed(), child.seed());
-        assert_ne!(grandchild.seed(), parent.seed());
-    }
-
-    #[test]
-    fn split_indexed_zero_matches_split_and_indices_diverge() {
-        let parent = NoiseModel::new(13).with_relative_sigma(0.1);
-        assert_eq!(parent.split().seed(), parent.split_indexed(0).seed());
-        let seeds: Vec<u64> = (0..16).map(|i| parent.split_indexed(i).seed()).collect();
-        for i in 0..seeds.len() {
-            for j in (i + 1)..seeds.len() {
-                assert_ne!(seeds[i], seeds[j], "indices {i} and {j} collided");
-            }
-        }
-        // Pure function of (seed, index): re-derivation is stable.
-        assert_eq!(seeds[7], parent.split_indexed(7).seed());
     }
 
     #[test]

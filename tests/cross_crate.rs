@@ -4,13 +4,14 @@
 use refocus::arch::area::area_breakdown;
 use refocus::arch::config::AcceleratorConfig;
 use refocus::arch::energy::EnergyModel;
-use refocus::arch::perf::NetworkPerf;
+use refocus::arch::perf::{LayerPerf, NetworkPerf};
 use refocus::arch::rfcu::ComponentCounts;
 use refocus::arch::simulator::simulate;
 use refocus::memsim::sram::{Sram, KIB, MIB};
+use refocus::nn::layer::ConvSpec;
 use refocus::nn::models;
 use refocus::photonics::buffer::{FeedbackBuffer, FeedforwardBuffer};
-use refocus::photonics::components::DelayLine;
+use refocus::photonics::components::{Adc, DelayLine};
 
 #[test]
 fn delay_line_area_consistent_between_crates() {
@@ -63,17 +64,23 @@ fn sram_sizes_match_section_5_2() {
 
 #[test]
 fn adc_clock_follows_temporal_accumulation() {
+    // Each ADC reads once per accumulation window, so on a layer with
+    // enough channel groups to fill the window it reads at clock / TA.
+    // At the paper's TA = 16 that is the photonics crate's ADC clock,
+    // whose energy per conversion the energy model charges.
+    let layer = ConvSpec::new("deep", 256, 256, 3, 1, 1, (14, 14));
     for (ta, want_ghz) in [(16u32, 0.625f64), (8, 1.25), (1, 10.0)] {
         let cfg = AcceleratorConfig {
             temporal_accumulation: ta,
             delay_cycles: 16,
             ..AcceleratorConfig::refocus_ff()
         };
-        assert!(
-            (cfg.adc_clock().value() - want_ghz).abs() < 1e-12,
-            "ta={ta}"
-        );
+        let perf = LayerPerf::analyze(&layer, &cfg).unwrap();
+        let readouts = perf.cycles as f64 / perf.effective_ta as f64;
+        let adc_ghz = readouts / perf.duration(&cfg).value() / 1e9;
+        assert!((adc_ghz - want_ghz).abs() < 1e-12, "ta={ta}: {adc_ghz}");
     }
+    assert_eq!(Adc::DEFAULT_CLOCK.value(), 0.625);
 }
 
 #[test]
